@@ -41,6 +41,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -76,31 +77,63 @@ struct scale_cell {
   bool simplex_ok = false;
 };
 
-/// Max cumulative messages/bytes over every node of a flat engine's
-/// network (workers, plus the master for MW).
+/// Plays a flat engine and sums its traffic round by round. A flat engine
+/// without faults restarts its network counters every round, so the run's
+/// totals and its per-node envelope (each round's busiest node, summed
+/// over the rounds) are accumulated here — what the hierarchical engine's
+/// cumulative counters hold, so flat and hier cells mean the same thing.
 template <typename Policy>
-void fill_flat_traffic(Policy& policy, scale_cell& cell) {
-  net::network& net = policy.transport();
-  for (std::size_t i = 0; i < net.nodes(); ++i) {
-    const auto id = static_cast<net::node_id>(i);
-    cell.max_node_messages =
-        std::max(cell.max_node_messages, net.peer_messages_sent(id));
-    cell.max_node_bytes =
-        std::max(cell.max_node_bytes, net.peer_bytes_sent(id));
+class flat_traffic final : public core::online_policy {
+ public:
+  explicit flat_traffic(Policy& policy) : policy_(policy) {}
+
+  std::string_view name() const override { return policy_.name(); }
+  std::size_t workers() const override { return policy_.workers(); }
+  const core::allocation& current() const override {
+    return policy_.current();
   }
-  cell.total_messages = net.total_traffic().messages_sent;
-  cell.total_bytes = net.total_traffic().bytes_sent;
-}
+  void observe(const core::round_feedback& feedback) override {
+    policy_.observe(feedback);
+    net::network& net = policy_.transport();
+    std::uint64_t busiest_messages = 0;
+    std::uint64_t busiest_bytes = 0;
+    for (std::size_t i = 0; i < net.nodes(); ++i) {
+      const auto id = static_cast<net::node_id>(i);
+      busiest_messages = std::max(busiest_messages, net.peer_messages_sent(id));
+      busiest_bytes = std::max(busiest_bytes, net.peer_bytes_sent(id));
+    }
+    max_node_messages += busiest_messages;
+    max_node_bytes += busiest_bytes;
+    total_messages += policy_.last_round_traffic().messages_sent;
+    total_bytes += policy_.last_round_traffic().bytes_sent;
+  }
+  void reset() override {
+    policy_.reset();
+    max_node_messages = max_node_bytes = total_messages = total_bytes = 0;
+  }
+
+  std::uint64_t max_node_messages = 0;
+  std::uint64_t max_node_bytes = 0;
+  std::uint64_t total_messages = 0;
+  std::uint64_t total_bytes = 0;
+
+ private:
+  Policy& policy_;
+};
 
 template <typename Policy>
 scale_cell run_scale_cell(std::string engine, Policy& policy, std::size_t n,
                           std::size_t rounds, std::uint64_t seed) {
+  constexpr bool hier = std::is_same_v<Policy, shard::hierarchical_engine>;
+  // The hierarchical engine counts cumulatively itself; a flat one is
+  // played through its round-by-round tally.
+  std::conditional_t<hier, Policy&, flat_traffic<Policy>> played(policy);
   auto env = exp::make_synthetic_environment(
       n, exp::synthetic_family::mixed, seed);
   exp::harness_options hopts;
   hopts.rounds = rounds;
   const auto begin = std::chrono::steady_clock::now();
-  const exp::run_trace trace = run(policy, *env, hopts);
+  const exp::run_trace trace = run(played, *env, hopts);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
           .count();
@@ -111,13 +144,16 @@ scale_cell run_scale_cell(std::string engine, Policy& policy, std::size_t n,
   cell.ns_per_round = elapsed * 1e9 / static_cast<double>(rounds);
   cell.cumulative_cost = trace.global_cost.total();
   cell.simplex_ok = on_simplex(policy.current());
-  if constexpr (std::is_same_v<Policy, shard::hierarchical_engine>) {
+  if constexpr (hier) {
     cell.max_node_messages = policy.max_node_messages_sent();
     cell.max_node_bytes = policy.max_node_bytes_sent();
     cell.total_messages = policy.total_traffic().messages_sent;
     cell.total_bytes = policy.total_traffic().bytes_sent;
   } else {
-    fill_flat_traffic(policy, cell);
+    cell.max_node_messages = played.max_node_messages;
+    cell.max_node_bytes = played.max_node_bytes;
+    cell.total_messages = played.total_messages;
+    cell.total_bytes = played.total_bytes;
   }
   return cell;
 }

@@ -1,9 +1,9 @@
-// Event-driven round breakdown — how much of a DOLBIE round is the compute
+// Asynchronous round breakdown — how much of a DOLBIE round is the compute
 // barrier (the straggler, which load balancing shrinks over time) and how
 // much is protocol communication (which Section IV-C's O(N) design keeps
-// tiny). Simulated with the discrete-event engine: messages travel with
-// real link delays, the master reacts to arrivals, the round ends when the
-// last worker holds its next share.
+// tiny). Simulated with the asynchronous engine: messages travel with
+// real link delays, each phase closes at its deadline, the round ends when
+// the last worker holds its next share.
 //
 //   $ ./async_round_breakdown [--seed=N] [--rounds=N]
 #include <iostream>
@@ -19,13 +19,13 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.get_u64("seed", 42);
   const std::size_t rounds = args.get_u64("rounds", 100);
 
-  std::cout << "=== Event-driven round breakdown (Algorithm 1, ResNet18 "
+  std::cout << "=== Asynchronous round breakdown (Algorithm 1, ResNet18 "
                "cluster) ===\n\n";
 
   exp::table by_n({"N", "round 1: compute/protocol [ms]",
                    "round " + std::to_string(rounds) +
                        ": compute/protocol [ms]",
-                   "protocol share @ end [%]", "events/round"});
+                   "protocol share @ end [%]"});
   for (std::size_t n : {4u, 10u, 30u, 100u}) {
     ml::cluster cluster(n, ml::model_kind::resnet18, seed);
     dist::async_master_worker engine(n);
@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
          exp::format_double(1e3 * last.compute_duration) + " / " +
              exp::format_double(1e3 * last.protocol_duration, 3),
          exp::format_double(
-             100.0 * last.protocol_duration / last.round_duration, 3),
-         std::to_string(last.events)});
+             100.0 * last.protocol_duration / last.round_duration, 3)});
   }
   by_n.print(std::cout);
   std::cout << "\nReading: load balancing shrinks the compute barrier "

@@ -88,7 +88,7 @@ class snapshot_reader {
 /// First bytes of every snapshot: "DLBS" little-endian.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53424C44u;
 /// Bumped on any layout change; restore rejects every other version.
-inline constexpr std::uint16_t kSnapshotVersion = 1;
+inline constexpr std::uint16_t kSnapshotVersion = 2;
 
 /// Which engine produced a snapshot. Restore rejects a kind mismatch, so
 /// e.g. FD bytes can never be poured into an MW engine.

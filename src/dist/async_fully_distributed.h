@@ -1,88 +1,36 @@
-// Event-driven (asynchronous) execution of Algorithm 2.
+// Asynchronous execution of Algorithm 2, priced in virtual time.
 //
 // Counterpart of async_master_worker for the fully-distributed protocol:
 // every worker finishes its round-t computation at its own local-cost
 // time, broadcasts (l_i, alpha-bar_i) to all peers (its NIC serializes the
-// N-1 sends), updates as soon as its *own* inbox is complete, and sends
-// its decision to the straggler; the round ends when the straggler has
+// N-1 sends), updates once the broadcast barrier closes, and sends its
+// decision to the straggler; the round ends when the straggler has
 // absorbed the remainder and every worker holds its next share.
 //
 // Two phases instead of four: less latency exposure, more total bytes —
-// the same trade-off round_timing.h models analytically, now measured on
-// an actual event schedule. The produced iterates are bit-identical to
-// the sequential reference.
-//
-// Fault tolerance: with `protocol.faults` enabled the engine runs the
-// unified protocol core's dist/fd_round.h state machine — the exact same
-// transitions as the synchronous engine's degraded mode (participant set
-// H_t, min-consensus over H_t, delta-sum absorption, straggler failover,
-// churn retirement), over an internal net::network + net::reliable_link
-// pair — instantiated with a deadline-arithmetic timing model. Degraded
-// iterates are bit-identical to the synchronous engine under the same
-// fault plan; only the clock differs. The clean path is untouched
-// (bit-identical timing and allocations).
+// the same trade-off round_timing.h models analytically, here priced
+// event by event. The engine is the shell of dist/engine.h playing the
+// dist/fd_round.h state machine under the deadline model
+// `fd_deadline_timing`; its iterates are bit-identical to the synchronous
+// engine under any fault plan.
 #pragma once
 
-#include <memory>
-
-#include "core/policy.h"
-#include "dist/async_master_worker.h"  // async_options, async_round_result
+#include "dist/async_master_worker.h"  // async_engine, async_round_result
 
 namespace dolbie::dist {
 
 /// Asynchronous Algorithm-2 engine. Stateful across rounds (x_t,
 /// alpha-bar_t), mirroring fully_distributed_policy.
-class async_fully_distributed {
+class async_fully_distributed final
+    : public async_engine<fd_realization, fd_deadline_timing> {
  public:
-  async_fully_distributed(std::size_t n_workers, async_options options = {});
+  async_fully_distributed(std::size_t n_workers,
+                          const async_options& options = {})
+      : async_engine(n_workers, options) {}
 
-  std::size_t workers() const { return x_.size(); }
-  const core::allocation& allocation() const { return x_; }
-  const std::vector<double>& local_step_sizes() const { return alpha_bar_; }
-
-  /// Simulate one full round under the given revealed cost functions.
-  async_round_result run_round(const cost::cost_view& costs);
-
-  /// Cumulative fault/degradation accounting (all zero on the clean path).
-  /// Mirrored into protocol.metrics (when attached) as the same
-  /// dist.*/net.* counters the synchronous engines publish.
-  const fault_report& faults() const { return report_; }
-
-  void reset();
-
-  /// Serialize the complete cross-round state (iterate, per-worker step
-  /// bounds, round index, membership, channels, reliable-link sequencing,
-  /// fault-roll cursors) into versioned snapshot bytes; restore rebuilds
-  /// it so the continuation is bit-identical to the uninterrupted run.
-  /// Restore throws invariant_error on corrupt or mismatched bytes,
-  /// leaving the engine reset.
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& bytes);
-
- private:
-  async_round_result run_round_clean(const cost::cost_view& costs);
-  async_round_result run_round_faulty(const cost::cost_view& costs,
-                                      std::uint64_t round);
-
-  async_options options_;
-  core::allocation x_;
-  std::vector<double> alpha_bar_;
-  // Round scratch (the phase-0 local costs), reused across run_round calls.
-  std::vector<double> locals_;
-
-  // Fault-tolerant path (engaged only when options_.protocol.faults is
-  // enabled; the clean path never touches any of this). The engine owns a
-  // private network + reliable link so the shared round state machine
-  // consumes the identical fault-roll stream as the synchronous engine.
-  bool faulty_ = false;
-  std::uint64_t round_ = 0;
-  std::unique_ptr<net::network> net_;
-  std::unique_ptr<net::reliable_link> rel_;
-  round_scratch scratch_;
-  member_flags flags_;
-  engine_counters counters_;
-  fault_report report_;
-  net::reliable_stats mirrored_;
+  const std::vector<double>& local_step_sizes() const {
+    return realization().alpha_bar;
+  }
 };
 
 }  // namespace dolbie::dist

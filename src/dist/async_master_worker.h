@@ -1,13 +1,13 @@
-// Event-driven (asynchronous) execution of Algorithm 1.
+// Asynchronous execution of Algorithm 1, priced in virtual time.
 //
 // The phase-synchronous realization in master_worker.h verifies *what* is
 // exchanged; this one verifies *when*: each worker finishes its round-t
 // computation at its own local-cost time, messages travel with link
-// delays, the master reacts to arrivals (not phases), and the round ends
-// when the last worker holds its round-(t+1) workload. The produced
-// allocation is bit-identical to the sequential reference — asynchrony
-// changes timing, never the iterate — and the reported durations decompose
-// the round into compute (the straggler barrier) and protocol overhead.
+// delays, the master reacts to arrivals, and the round ends when the last
+// worker holds its round-(t+1) workload. The produced allocation is
+// bit-identical to the synchronous engine — asynchrony changes timing,
+// never the iterate — and the reported durations decompose the round into
+// compute (the straggler barrier) and protocol overhead.
 //
 // Timeline of one round:
 //
@@ -21,42 +21,21 @@
 //           tightens alpha by Eq. (7)
 //   round ends at max_i (time worker i holds x_{i,t+1})
 //
-// Fault tolerance: with `protocol.faults` enabled the engine runs the
-// unified protocol core's dist/mw_round.h state machine — the exact same
-// transitions as the synchronous engine's degraded mode, over an internal
-// net::network + net::reliable_link pair — instantiated with a
-// deadline-arithmetic timing model that prices every delivery in virtual
-// time from the number of transmissions it took. Because the wire layer
-// and the transitions are shared (not re-derived), the degraded iterates
-// are bit-identical to the synchronous engine under the same fault plan;
-// only the clock differs. The clean path is untouched (bit-identical
-// timing and allocations).
+// The engine is the shell of dist/engine.h playing the dist/mw_round.h
+// state machine — the synchronous engine's transitions over the same
+// network, reliable link and fault-roll stream — with the
+// deadline-arithmetic timing model of dist/round_timing.h pricing every
+// delivery in virtual time from the number of transmissions it took.
 #pragma once
 
-#include <memory>
+#include <vector>
 
-#include "core/policy.h"
-#include "dist/protocol.h"
-#include "net/delay_model.h"
-#include "net/network.h"
-#include "net/reliable.h"
+#include "common/error.h"
+#include "cost/cost_function.h"
+#include "dist/engine.h"
+#include "dist/round_timing.h"
 
 namespace dolbie::dist {
-
-struct async_options {
-  protocol_options protocol;
-  net::link_delay_model link;
-  /// Local decision-computation time per worker (Eq. 4 inverse + update).
-  double compute_delay = 2e-6;
-  /// Encoded bytes per protocol message (net/codec: 20 + 8 * scalars; the
-  /// widest protocol payload is 2 scalars once the reliability header is
-  /// included).
-  std::size_t payload_bytes = 36;
-  /// Retransmission timer for the fault-tolerant path (seconds). Negative
-  /// selects 4x the one-message link time. Unused when
-  /// protocol.faults is disabled.
-  double retransmit_timeout = -1.0;
-};
 
 /// Result of one asynchronously simulated round.
 struct async_round_result {
@@ -64,9 +43,8 @@ struct async_round_result {
   double round_duration = 0.0;       ///< start -> last worker ready
   double compute_duration = 0.0;     ///< the straggler barrier max_i l_i
   double protocol_duration = 0.0;    ///< round_duration - compute_duration
-  std::size_t events = 0;            ///< events executed by the simulator
   std::size_t messages = 0;          ///< protocol messages exchanged
-  // Fault-path accounting (all zero on the clean path).
+  // Fault-path accounting (all zero without faults).
   std::size_t retransmits = 0;       ///< retransmissions this round
   std::size_t zero_step_holds = 0;   ///< workers that held x_{i,t}
   std::size_t straggler_failovers = 0;
@@ -74,59 +52,54 @@ struct async_round_result {
   bool aborted = false;              ///< no progress was possible
 };
 
-/// Asynchronous Algorithm-1 engine. Stateful across rounds (x_t, alpha_t),
-/// mirroring core::dolbie_policy with the worst-case Eq. (7) schedule.
-class async_master_worker {
- public:
-  async_master_worker(std::size_t n_workers, async_options options = {});
+/// The asynchronous engines' face: one round per run_round(), priced by
+/// the deadline model `Timing`.
+template <class Realization, class Timing>
+class async_engine : public engine<Realization, Timing> {
+  using shell = engine<Realization, Timing>;
 
-  std::size_t workers() const { return x_.size(); }
-  const core::allocation& allocation() const { return x_; }
-  double step_size() const { return alpha_; }
+ public:
+  async_engine(std::size_t n_workers, const async_options& options)
+      : shell(n_workers, options.protocol, Timing(options)) {}
 
   /// Simulate one full round under the given revealed cost functions.
-  async_round_result run_round(const cost::cost_view& costs);
-
-  /// Cumulative fault/degradation accounting (all zero on the clean path).
-  /// Mirrored into protocol.metrics (when attached) as the same
-  /// dist.*/net.* counters the synchronous engines publish.
-  const fault_report& faults() const { return report_; }
-
-  void reset();
-
-  /// Serialize the complete cross-round state (iterate, step size, round
-  /// index, membership, channels, reliable-link sequencing, fault-roll
-  /// cursors) into versioned snapshot bytes; restore rebuilds it so the
-  /// continuation is bit-identical to the uninterrupted run. Restore
-  /// throws invariant_error on corrupt or mismatched bytes, leaving the
-  /// engine reset.
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& bytes);
+  async_round_result run_round(const cost::cost_view& costs) {
+    DOLBIE_REQUIRE(costs.size() == shell::workers(),
+                   "cost/worker count mismatch");
+    // Locals are evaluated at the pre-retirement allocation — the same
+    // feedback the synchronous harness computes at current() before
+    // observe() — so sync-vs-async bit-identity covers churn rounds too.
+    cost::evaluate_into(costs, shell::allocation(), locals_);
+    const std::size_t retransmits = shell::faults().retransmits;
+    const degraded_outcome out = shell::play(costs, locals_);
+    const Timing& timing = shell::timing();
+    async_round_result r;
+    r.next_allocation = shell::allocation();
+    r.compute_duration = timing.compute_duration;
+    r.round_duration = timing.round_duration();
+    r.protocol_duration = r.round_duration - r.compute_duration;
+    r.messages = timing.messages;
+    r.retransmits = shell::faults().retransmits - retransmits;
+    r.zero_step_holds = out.holds;
+    r.straggler_failovers = out.failovers;
+    r.aborted = out.aborted;
+    r.degraded = out.holds > 0 || out.failovers > 0 || out.aborted;
+    return r;
+  }
 
  private:
-  async_round_result run_round_clean(const cost::cost_view& costs);
-  async_round_result run_round_faulty(const cost::cost_view& costs,
-                                      std::uint64_t round);
+  std::vector<double> locals_;  // the round's l_i, reused across rounds
+};
 
-  async_options options_;
-  core::allocation x_;
-  double alpha_ = 0.0;
-  // Round scratch (the phase-0 local costs), reused across run_round calls.
-  std::vector<double> locals_;
+/// Asynchronous Algorithm-1 engine. Stateful across rounds (x_t, alpha_t),
+/// mirroring core::dolbie_policy with the worst-case Eq. (7) schedule.
+class async_master_worker final
+    : public async_engine<mw_realization, mw_deadline_timing> {
+ public:
+  async_master_worker(std::size_t n_workers, const async_options& options = {})
+      : async_engine(n_workers, options) {}
 
-  // Fault-tolerant path (engaged only when options_.protocol.faults is
-  // enabled; the clean path never touches any of this). The engine owns a
-  // private network + reliable link so the shared round state machine
-  // consumes the identical fault-roll stream as the synchronous engine.
-  bool faulty_ = false;
-  std::uint64_t round_ = 0;
-  std::unique_ptr<net::network> net_;
-  std::unique_ptr<net::reliable_link> rel_;
-  round_scratch scratch_;
-  member_flags flags_;
-  engine_counters counters_;
-  fault_report report_;
-  net::reliable_stats mirrored_;
+  double step_size() const { return realization().alpha; }
 };
 
 }  // namespace dolbie::dist

@@ -80,8 +80,8 @@ void cluster_policy::observe_mw(const core::round_feedback& feedback,
   const std::uint32_t lane = options_.trace_lane;
   obs::span round_span(tr, lane, round, "round", "mw");
 
-  mw_null_timing timing;
-  mw_degraded_round<net::socket_delivery, mw_null_timing> flow{
+  null_timing timing;
+  mw_degraded_round<net::socket_delivery, null_timing> flow{
       n_,
       master_id(),
       *feedback.costs,
@@ -111,8 +111,8 @@ void cluster_policy::observe_fd(const core::round_feedback& feedback,
   const std::uint32_t lane = options_.trace_lane;
   obs::span round_span(tr, lane, round, "round", "fd");
 
-  fd_null_timing timing;
-  fd_degraded_round<net::socket_delivery, fd_null_timing> flow{
+  null_timing timing;
+  fd_degraded_round<net::socket_delivery, null_timing> flow{
       n_,
       *feedback.costs,
       feedback.local_costs,

@@ -7,8 +7,8 @@
 // crosses TCP under the ownership rule documented in socket_delivery.h.
 // The state machines are the *same templates* the in-memory engines
 // instantiate (dist/mw_round.h, dist/fd_round.h) with the fault plan
-// disabled: a healthy cluster reproduces the clean path's iterates bit
-// for bit (the zero-fault ≡ clean invariant the tests pin), and a dead or
+// disabled: a healthy cluster reproduces the in-memory engines' iterates
+// bit for bit (the invariant the tests pin), and a dead or
 // slow daemon surfaces as a nullopt receive that the degraded-round
 // machinery — built for lossy simulation — absorbs unchanged: holds,
 // straggler failover, abort. No cluster-specific protocol logic exists.

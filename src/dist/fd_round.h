@@ -1,10 +1,10 @@
 // Fully-distributed (Alg. 2) round state machine of the unified protocol
 // core — the peer-to-peer sibling of dist/mw_round.h, same seams: a
-// delivery policy (net/transport.h) and a timing model. The synchronous
-// engine (dist/fully_distributed.h) instantiates it with `fd_null_timing`
-// (bit-identical to the pre-refactor path); the asynchronous engine
-// (dist/async_fully_distributed.h) supplies deadline arithmetic priced
-// from `Delivery::last_receive_attempts()`.
+// delivery policy (net/transport.h) and a timing model. The engine shell
+// (dist/engine.h) drives it over `direct_delivery` when the fault plan is
+// disabled and over `reliable_delivery` when it is not; the synchronous
+// engine instantiates `null_timing`, the asynchronous engine a deadline
+// model (dist/round_timing.h) priced from `Delivery::last_receive_attempts()`.
 //
 // The round's participant set H_t is the set of live workers whose
 // broadcast reached every polling receiver within the retry budget;
@@ -15,11 +15,13 @@
 // the consensus alpha stays inside every Eq. 7 cap and feasibility is
 // untouched. Workers outside H_t hold x_{i,t}.
 //
-// Degraded absorption: the straggler cannot compute 1 - sum(claimed)
-// because holders never upload their shares (the privacy property). On
-// this path decisions carry {x_{i,t+1}, x_{i,t}} and the straggler
-// absorbs via x_s - sum(x_new - x_old): total mass is conserved without
-// the straggler learning any holder's share.
+// Absorption: the straggler takes remainder = target - claimed, where
+// claimed is the index-order sum of the decisions it received — the
+// arithmetic of mw_round.h and core::dolbie_policy, so a fault-free round
+// is bit-identical to both. Holders never upload their shares (the
+// privacy property), so decisions carry {x_{i,t+1}, x_{i,t}}: when some
+// group member held, the straggler adds the holders' total mass
+// target - x_s - sum(x_{i,t}) without learning any single share.
 #pragma once
 
 #include <algorithm>
@@ -39,42 +41,16 @@
 
 namespace dolbie::dist {
 
-/// Timing model that compiles to nothing — the synchronous engine's
-/// instantiation, which must stay bit-identical to the pre-refactor path.
-struct fd_null_timing {
-  void round_begin() {}
-  void on_send() {}
-  void broadcast_sent(core::worker_id, core::worker_id) {}
-  void broadcast_delivered(core::worker_id, core::worker_id, std::size_t) {}
-  void broadcast_lost(core::worker_id, core::worker_id) {}
-  void phase1_done() {}
-  void decision_sent(core::worker_id) {}
-  void failover() {}
-  void decision_delivered(core::worker_id, std::size_t) {}
-  void decision_lost(core::worker_id) {}
-  void phase2_done() {}
-};
-
-/// What stage_broadcast learned: the participant count |H_t|, the max
-/// cost over H_t (the shard's l_t contribution) and the min local step
-/// bound over H_t (the shard's alpha contribution) — both computed with
-/// the election's exact comparison chain.
-struct fd_stage_result {
-  std::size_t participants = 0;
-  double max_cost = 0.0;
-  double min_alpha = 1.0;
-};
-
-/// One fault-tolerant Alg. 2 round. Reads the played allocation `x`,
-/// builds x_{t+1} in `scratch.next_x` (the caller swaps after the round
-/// commits); `alpha_bar` is each worker's local step bound, tightened at
-/// the straggler and re-capped on churn.
+/// One Alg. 2 round. Reads the played allocation `x`, builds x_{t+1} in
+/// `scratch.next_x` (the caller swaps after the round commits);
+/// `alpha_bar` is each worker's local step bound, tightened at the
+/// straggler and re-capped on churn.
 ///
 /// Split into two stages around the consensus values, mirroring
-/// mw_round.h: `stage_broadcast` runs membership + the all-pairs phase 1
-/// and H_t resolution; `stage_commit(l_t, alpha_t)` elects, moves and
-/// absorbs against supplied consensus values. `run()` composes them with
-/// the local max/min — byte-for-byte the flat round.
+/// mw_round.h: `stage_gather` runs membership + the all-pairs phase 1 and
+/// H_t resolution; `stage_commit(l_t, alpha_t)` elects, moves and absorbs
+/// against supplied consensus values. `run()` composes them with the local
+/// max/min — byte-for-byte the flat round.
 template <class Delivery, class Timing>
 struct fd_degraded_round {
   std::size_t n;
@@ -125,13 +101,13 @@ struct fd_degraded_round {
   /// Stage 1 of the split round: membership, the all-pairs broadcast and
   /// H_t resolution. On an empty H_t the abort is recorded in `out` and
   /// next_x already holds x.
-  fd_stage_result stage_broadcast(std::uint64_t round, degraded_outcome& out) {
+  stage_result stage_gather(std::uint64_t round, degraded_outcome& out) {
     for (core::worker_id i = 0; i < n; ++i) {
       if (flags.removed[i] == 0 && plan.permanently_down(i, round)) {
         retire(i, round);
       }
     }
-    timing.round_begin();
+    timing.round_begin(locals, flags.removed);
 
     for (core::worker_id i = 0; i < n; ++i) {
       flags.live[i] = (flags.removed[i] == 0 && !plan.down(i, round)) ? 1 : 0;
@@ -209,7 +185,7 @@ struct fd_degraded_round {
     }
     timing.phase1_done();
 
-    fd_stage_result res;
+    stage_result res;
     res.participants = h_count;
     if (h_count == 0) {
       out.aborted = true;
@@ -232,13 +208,13 @@ struct fd_degraded_round {
   }
 
   /// Stage 2: election, the movers' Eq. 5 steps and the straggler's
-  /// delta-sum absorption, all against the supplied consensus pair (the
+  /// absorption, all against the supplied consensus pair (the
   /// shard's own max/min on the flat path, the tree consensus under the
   /// hierarchical layer).
   void stage_commit(std::uint64_t round, double l_t, double alpha_t,
                     degraded_outcome& out) {
     // --- Election over H_t: straggler by max cost (lowest-index
-    //     tie-breaking, as in the clean path). ---
+    //     tie-breaking, as in the sequential reference). ---
     core::worker_id s = n;
     for (core::worker_id i = 0; i < n; ++i) {
       if (flags.in_h[i] == 0) continue;
@@ -318,32 +294,41 @@ struct fd_degraded_round {
       out.straggler = s2;
     }
 
-    // --- Post-phase: the straggler absorbs via the delta sum. A mover
+    // --- Post-phase: the straggler absorbs the remainder (Eq. 6). A mover
     //     whose decision never arrived rolls back to x_{i,t}. ---
-    double delta = 0.0;
+    double claimed = 0.0;
+    double old_sum = 0.0;
+    bool held = false;
     for (net::node_id i = 0; i < n; ++i) {
-      if (flags.in_h[i] == 0 || i == s || i == s_final ||
-          plan.crashed_during(i, round)) {
+      if (i == s_final || flags.removed[i] != 0) continue;
+      if (flags.in_h[i] == 0 || i == s || plan.crashed_during(i, round)) {
+        held = true;
         continue;
       }
       auto m = wire.receive(s_final, i);
       if (m.has_value()) {
         scratch.next_x[i] = scratch.tentative[i];
-        delta += m->payload[0] - m->payload[1];
+        claimed += m->payload[0];
+        old_sum += m->payload[1];
         timing.decision_delivered(i, wire.last_receive_attempts());
       } else {
+        held = true;
         ++out.holds;  // decision lost past budget: the mover rolls back
         timing.decision_lost(i);
       }
     }
-    timing.phase2_done();
-    const double raw = x[s_final] - delta;
+    timing.decisions_done();
+    // The holders' total mass: what the group's target leaves after the
+    // straggler's and the movers' current shares.
+    if (held) claimed += target - x[s_final] - old_sum;
+    const double raw = target - claimed;
     scratch.next_x[s_final] = std::max(0.0, raw);
     if (raw < 0.0) {
-      // alpha ran ahead of the binding Eq. 7 cap (its source went
-      // unheard this round): rescale onto the group's mass. (scale ==
-      // total exactly when target == 1.0, so the flat division is
-      // untouched bit for bit.)
+      // The remainder went negative (floating-point drift, or alpha ran
+      // ahead of the binding Eq. 7 cap while its source went unheard):
+      // rescale onto the group's mass like the sequential reference.
+      // (scale == total exactly when target == 1.0, so the flat division
+      // is untouched bit for bit.)
       double total = 0.0;
       for (double v : scratch.next_x) total += v;
       const double scale = total / target;
@@ -367,7 +352,7 @@ struct fd_degraded_round {
 
   degraded_outcome run(std::uint64_t round) {
     degraded_outcome out;
-    const fd_stage_result up = stage_broadcast(round, out);
+    const stage_result up = stage_gather(round, out);
     if (out.aborted) return out;
     stage_commit(round, up.max_cost, up.min_alpha, out);
     return out;

@@ -8,108 +8,39 @@
 //   phase 2  every worker independently computes l_t, the consensus step
 //            alpha_t = min_j alpha-bar_j and the straggler s_t (worker-list
 //            tie-breaking) from the broadcast data; non-stragglers update
-//            x_i locally and send decision(x_i) to the straggler only,
-//            keeping alpha-bar_i                              N-1 msgs
+//            x_i locally and send decision(x_{i,t+1}, x_{i,t}) to the
+//            straggler only, keeping alpha-bar_i                N-1 msgs
 //   (local)  the straggler absorbs the remainder and tightens its local
 //            step size by Eq. (8) — no messages
 //
 // Total N^2 - 1 messages per round — the O(N^2) of Section IV-C. A
 // non-straggler never learns the other workers' decisions, matching the
-// paper's privacy argument.
+// paper's privacy argument; the straggler learns the movers' current
+// shares but only the total of the holders' (dist/fd_round.h).
 //
-// The produced iterates are bit-identical to core::dolbie_policy (asserted
-// by tests/dist_equivalence_test).
-//
-// Fault tolerance: with `protocol_options::faults` enabled the round is
-// one instantiation of the unified protocol core's dist/fd_round.h state
-// machine (shared with the asynchronous engine) over net::reliable_link —
-// degraded completion via the participant set H_t, delta-sum absorption,
-// deterministic straggler failover and churn retirement. See
+// The round is the dist/fd_round.h state machine played by the engine
+// shell (dist/engine.h) with its timing hooks compiled away. Its iterates
+// are bit-identical to core::dolbie_policy (asserted by
+// tests/dist_equivalence_test). With `protocol_options::faults` enabled it
+// runs over net::reliable_link — degraded completion via the participant
+// set H_t, deterministic straggler failover and churn retirement. See
 // DESIGN.md §8-9.
 #pragma once
 
-#include <memory>
-
-#include "core/policy.h"
-#include "dist/protocol.h"
-#include "net/network.h"
-#include "net/reliable.h"
+#include "dist/engine.h"
 
 namespace dolbie::dist {
 
-class fully_distributed_policy final : public core::online_policy {
+class fully_distributed_policy final : public sync_engine<fd_realization> {
  public:
-  fully_distributed_policy(std::size_t n_workers,
-                           protocol_options options = {});
+  using sync_engine::sync_engine;
 
   std::string_view name() const override { return "DOLBIE-FD"; }
-  std::size_t workers() const override { return n_; }
-  const core::allocation& current() const override { return assembled_; }
-  void observe(const core::round_feedback& feedback) override;
-  void reset() override;
 
   /// Local step sizes alpha-bar_{i,t+1} (for tests of the consensus rule).
-  const std::vector<double>& local_step_sizes() const { return alpha_bar_; }
-
-  /// Traffic of the most recent round (for the comm-complexity bench).
-  const net::traffic_totals& last_round_traffic() const {
-    return last_traffic_;
+  const std::vector<double>& local_step_sizes() const {
+    return realization().alpha_bar;
   }
-
-  /// Cumulative fault/degradation accounting (all zero on the clean path).
-  const fault_report& faults() const { return fault_report_; }
-
-  /// The underlying transport, exposed so fault-injection tests can
-  /// schedule deterministic drops (network::inject_drop) on specific
-  /// links. Production callers have no business poking it.
-  net::network& transport() { return net_; }
-
-  /// Serialize the complete cross-round state (iterate, per-worker step
-  /// bounds, round index, membership, channels, reliable-link sequencing,
-  /// fault-roll cursors) into versioned snapshot bytes; restore rebuilds
-  /// it so the continuation is bit-identical to the uninterrupted run.
-  /// Restore throws invariant_error on corrupt or mismatched bytes,
-  /// leaving the engine reset.
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& bytes);
-
- private:
-  void observe_clean(const core::round_feedback& feedback,
-                     std::uint64_t round);
-  void observe_faulty(const core::round_feedback& feedback,
-                      std::uint64_t round);
-  void finish_round(std::uint64_t round, const degraded_outcome& outcome);
-
-  std::size_t n_;
-  protocol_options options_;
-  net::network net_;
-
-  // Worker-local state.
-  std::vector<double> worker_x_;
-  std::vector<double> alpha_bar_;
-
-  core::allocation assembled_;
-  net::traffic_totals last_traffic_;
-
-  // Round scratch shared with the protocol core (dist/protocol.h), kept
-  // as a member so the per-round (and, for the inbox pair, per-worker)
-  // loops reuse their storage instead of allocating: scratch_.next_x is
-  // the round's x_{t+1} under construction; inbox_l/inbox_a are the
-  // (l_j, alpha-bar_j) view each worker reassembles from its inbox.
-  round_scratch scratch_;
-
-  // Fault-tolerant path (engaged only when options_.faults is enabled;
-  // the clean path never touches any of this).
-  bool faulty_ = false;
-  std::unique_ptr<net::reliable_link> rel_;
-  member_flags flags_;
-  net::traffic_totals round_traffic_start_;
-  fault_report fault_report_;
-
-  // Observability (unbound when options_.metrics is unset).
-  std::uint64_t round_ = 0;
-  engine_counters counters_;
-  net::reliable_stats mirrored_;  // last stats already mirrored to metrics
 };
 
 }  // namespace dolbie::dist

@@ -15,100 +15,29 @@
 // allocation visible through current() is assembled by the harness, which
 // plays the role of the physical work dispatcher.
 //
-// The produced iterates are bit-identical to core::dolbie_policy (asserted
-// by tests/dist_equivalence_test).
-//
-// Fault tolerance: when `protocol_options::faults` is enabled the round is
-// one instantiation of the unified protocol core's dist/mw_round.h state
-// machine (shared with the asynchronous engine) over net::reliable_link —
-// a phase message missing past the retry budget degrades the round instead
-// of failing it, a crashed or unreachable straggler is re-elected
-// deterministically, and permanent crashes retire the worker through the
-// shared churn math of core/churn.h. See DESIGN.md §8-9.
+// The round is the dist/mw_round.h state machine played by the engine
+// shell (dist/engine.h) with its timing hooks compiled away. Its iterates
+// are bit-identical to core::dolbie_policy (asserted by
+// tests/dist_equivalence_test). With `protocol_options::faults` enabled it
+// runs over net::reliable_link: a phase message missing past the retry
+// budget degrades the round instead of failing it, a crashed or
+// unreachable straggler is re-elected deterministically, and permanent
+// crashes retire the worker through the shared churn math of
+// core/churn.h. See DESIGN.md §8-9.
 #pragma once
 
-#include <memory>
-
-#include "core/policy.h"
-#include "dist/protocol.h"
-#include "net/network.h"
-#include "net/reliable.h"
+#include "dist/engine.h"
 
 namespace dolbie::dist {
 
-class master_worker_policy final : public core::online_policy {
+class master_worker_policy final : public sync_engine<mw_realization> {
  public:
-  master_worker_policy(std::size_t n_workers, protocol_options options = {});
+  using sync_engine::sync_engine;
 
   std::string_view name() const override { return "DOLBIE-MW"; }
-  std::size_t workers() const override { return n_; }
-  const core::allocation& current() const override { return assembled_; }
-  void observe(const core::round_feedback& feedback) override;
-  void reset() override;
 
   /// Step size the master will apply to the next round.
-  double master_step_size() const { return alpha_; }
-
-  /// Traffic of the most recent round (for the comm-complexity bench).
-  const net::traffic_totals& last_round_traffic() const {
-    return last_traffic_;
-  }
-
-  /// Cumulative fault/degradation accounting (all zero on the clean path).
-  const fault_report& faults() const { return fault_report_; }
-
-  /// The underlying transport, exposed so fault-injection tests can
-  /// schedule deterministic drops (network::inject_drop) on specific
-  /// links. Production callers have no business poking it.
-  net::network& transport() { return net_; }
-
-  /// Serialize the complete cross-round state (iterate, step size, round
-  /// index, membership, channels, reliable-link sequencing, fault-roll
-  /// cursors) into versioned snapshot bytes; restore rebuilds it so the
-  /// continuation is bit-identical to the uninterrupted run. Restore
-  /// throws invariant_error on corrupt or mismatched bytes, leaving the
-  /// engine reset.
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& bytes);
-
- private:
-  net::node_id master_id() const { return n_; }
-  void observe_clean(const core::round_feedback& feedback,
-                     std::uint64_t round);
-  void observe_faulty(const core::round_feedback& feedback,
-                      std::uint64_t round);
-  void finish_round(std::uint64_t round, const degraded_outcome& outcome);
-
-  std::size_t n_;
-  protocol_options options_;
-  net::network net_;
-
-  // Worker-local state: each worker only ever reads/writes its own entry.
-  std::vector<double> worker_x_;
-
-  // Master-local state.
-  double alpha_ = 0.0;
-
-  // Harness-side assembled view of the allocation.
-  core::allocation assembled_;
-  net::traffic_totals last_traffic_;
-
-  // Round scratch shared with the protocol core (dist/protocol.h);
-  // scratch_.inbox_l doubles as the clean path's phase-1 master inbox.
-  round_scratch scratch_;
-
-  // Fault-tolerant path (engaged only when options_.faults is enabled;
-  // the clean path never touches any of this).
-  bool faulty_ = false;
-  std::unique_ptr<net::reliable_link> rel_;
-  member_flags flags_;
-  net::traffic_totals round_traffic_start_;
-  fault_report fault_report_;
-
-  // Observability (unbound when options_.metrics is unset).
-  std::uint64_t round_ = 0;
-  engine_counters counters_;
-  net::reliable_stats mirrored_;  // last stats already mirrored to metrics
+  double master_step_size() const { return realization().alpha; }
 };
 
 }  // namespace dolbie::dist

@@ -1,17 +1,17 @@
 // Master-worker (Alg. 1) round state machine of the unified protocol core.
 //
-// `mw_degraded_round` is the fault-tolerant round — reliable delivery with
-// bounded retransmit, degraded completion, straggler failover and churn
-// retirement — written once as pure transitions over a delivery policy
-// (net/transport.h) and a timing model. The synchronous engine
-// (dist/master_worker.h) instantiates it with `mw_null_timing` (every hook
-// compiles away, so the flow is byte-for-byte the pre-refactor sync path:
-// same rolls, same traces, same allocations); the asynchronous engine
-// (dist/async_master_worker.h) instantiates it with a deadline-arithmetic
-// timing model that prices each delivery in virtual time from
-// `Delivery::last_receive_attempts()`.
+// `mw_degraded_round` is the one Alg. 1 round every engine runs — written
+// once as pure transitions over a delivery policy (net/transport.h) and a
+// timing model. The engine shell (dist/engine.h) drives it over
+// `direct_delivery` when the fault plan is disabled and over
+// `reliable_delivery` (bounded retransmit, degraded completion, straggler
+// failover, churn retirement) when it is not; the synchronous engine
+// instantiates `null_timing` (every hook compiles away), the asynchronous
+// engine a deadline-arithmetic model (dist/round_timing.h) that prices
+// each delivery in virtual time from `Delivery::last_receive_attempts()`.
 //
-// Degraded-round semantics (shared by both instantiations):
+// Degraded-round semantics (reachable only under a fault plan, or over a
+// real cluster's sockets):
 //
 //   * a worker the master does not hear from (down, crashed mid-round, or
 //     lost past the retry budget) takes a zero-length Eq. 5 step — it
@@ -54,46 +54,17 @@ inline double decide_next_share(const cost::cost_function& cost, double x,
   return x + alpha * (xp - x);
 }
 
-/// Timing model that compiles to nothing — the synchronous engine's
-/// instantiation, which must stay bit-identical to the pre-refactor path.
-struct mw_null_timing {
-  void round_begin() {}
-  void on_send() {}
-  void phase1_silent(core::worker_id) {}
-  void phase1_delivered(core::worker_id, std::size_t) {}
-  void phase1_lost(core::worker_id) {}
-  void phase1_done() {}
-  void info_sent(core::worker_id) {}
-  void info_abandoned(core::worker_id) {}
-  void info_delivered(core::worker_id, std::size_t) {}
-  void straggler_ready(core::worker_id) {}
-  void info_lost(core::worker_id) {}
-  void decision_sent(core::worker_id) {}
-  void decision_delivered(core::worker_id, std::size_t) {}
-  void decision_lost(core::worker_id) {}
-  void decisions_done() {}
-  void assignment_delivered(std::size_t) {}
-  void assignment_lost() {}
-};
-
-/// What stage_upload learned: how many workers the master heard this
-/// round, and the max heard cost (the shard's l_t contribution — equal to
-/// the elected straggler's cost, comparison for comparison).
-struct mw_stage_result {
-  std::size_t heard = 0;
-  double max_cost = 0.0;
-};
-
-/// One fault-tolerant Alg. 1 round over `Delivery` (a net/transport.h
-/// policy) and `Timing` (mw_null_timing, or the async deadline model).
-/// Thin reference aggregate: constructing one per round is allocation-free.
+/// One Alg. 1 round over `Delivery` (a net/transport.h policy) and
+/// `Timing` (null_timing, or the async deadline model). Thin reference
+/// aggregate: constructing one per round is allocation-free.
 ///
 /// The round is split into two stages around the global-cost consensus so
 /// the hierarchical layer (src/shard) can interpose a reduction-tree
-/// round between them: `stage_upload` runs membership + phase 1 (cost
-/// uploads), `stage_commit(l_t)` runs phases 2-4 against a supplied
-/// global cost. `run()` composes them with l_t = the local max and adopts
-/// the Eq. 7 step-size candidate — byte-for-byte the flat round.
+/// round between them: `stage_gather` runs membership + phase 1 (cost
+/// uploads), `stage_commit(l_t, alpha_t)` runs phases 2-4 against a
+/// supplied global cost and step. `run()` composes them with the local
+/// max and the master's own step and adopts the Eq. 7 step-size
+/// candidate — byte-for-byte the flat round.
 template <class Delivery, class Timing>
 struct mw_degraded_round {
   std::size_t n;
@@ -145,7 +116,7 @@ struct mw_degraded_round {
   /// Stage 1 of the split round: membership (churn retirement, liveness)
   /// and the phase-1 cost uploads. On a wholly silent round the abort is
   /// recorded in `out` and the allocation is already restored.
-  mw_stage_result stage_upload(std::uint64_t round, degraded_outcome& out) {
+  stage_result stage_gather(std::uint64_t round, degraded_outcome& out) {
     // Membership: permanent crashes retire through the shared churn math
     // before the round starts.
     for (core::worker_id i = 0; i < n; ++i) {
@@ -153,7 +124,7 @@ struct mw_degraded_round {
         retire(i, round);
       }
     }
-    timing.round_begin();
+    timing.round_begin(locals, flags.removed);
 
     scratch.start_x = x;
     for (core::worker_id i = 0; i < n; ++i) {
@@ -169,7 +140,8 @@ struct mw_degraded_round {
     // --- Phase 1: live workers (including mid-round crashers, whose
     //     transport completes) upload their local costs. ---
     scratch.inbox_l.assign(n, 0.0);
-    mw_stage_result res;
+    stage_result res;
+    res.min_alpha = alpha;  // retirement caps already folded in
     {
       obs::span sp(tr, lane, round, "phase1.cost_uploads", "mw");
       for (net::node_id i = 0; i < n; ++i) {
@@ -183,7 +155,7 @@ struct mw_degraded_round {
         auto m = wire.receive(master, i);
         if (m.has_value()) {
           flags.heard[i] = 1;
-          ++res.heard;
+          ++res.participants;
           scratch.inbox_l[i] = m->payload[0];
           timing.phase1_delivered(i, wire.last_receive_attempts());
         } else {
@@ -194,7 +166,7 @@ struct mw_degraded_round {
     }
     timing.phase1_done();
 
-    if (res.heard == 0) {
+    if (res.participants == 0) {
       // Nobody reached the master: the round aborts, every worker holds.
       out.aborted = true;
       x = scratch.start_x;
@@ -214,11 +186,14 @@ struct mw_degraded_round {
     return res;
   }
 
-  /// Stage 2: phases 2-4 against the supplied global cost (the shard's
-  /// own max on the flat path, the tree consensus under the hierarchical
-  /// layer). Leaves the Eq. 7 candidate in `out.alpha_candidate` — the
-  /// caller decides whether to adopt it (flat) or min-reduce it (tree).
-  void stage_commit(std::uint64_t round, double l_t, degraded_outcome& out) {
+  /// Stage 2: phases 2-4 against the supplied global cost and step (the
+  /// group's own on the flat path, the tree consensus under the
+  /// hierarchical layer). Leaves the Eq. 7 candidate in
+  /// `out.alpha_candidate` — the caller decides whether to adopt it (flat)
+  /// or min-reduce it (tree).
+  void stage_commit(std::uint64_t round, double l_t, double alpha_t,
+                    degraded_outcome& out) {
+    alpha = alpha_t;
     // --- Phase 2: elect over the heard set, broadcast round info. ---
     core::worker_id s = n;
     for (core::worker_id i = 0; i < n; ++i) {
@@ -405,9 +380,9 @@ struct mw_degraded_round {
 
   degraded_outcome run(std::uint64_t round) {
     degraded_outcome out;
-    const mw_stage_result up = stage_upload(round, out);
+    const stage_result up = stage_gather(round, out);
     if (out.aborted) return out;
-    stage_commit(round, up.max_cost, out);
+    stage_commit(round, up.max_cost, up.min_alpha, out);
     if (!out.aborted) alpha = out.alpha_candidate;
     return out;
   }

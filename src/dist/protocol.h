@@ -1,18 +1,22 @@
 // Shared options, payload conventions and round-state structs for the two
 // DOLBIE protocol realizations (the unified protocol core: dist/mw_round.h
-// and dist/fd_round.h hold the per-realization round state machines, all
-// four engines instantiate them).
+// and dist/fd_round.h hold the per-realization round state machines; the
+// engine shell of dist/engine.h, the hierarchical layer and the cluster
+// instantiate them).
 //
 // Payload layouts (scalars, in order):
 //   local_cost    : { l_{i,t} }
 //   round_info    : { l_t, alpha_t, 1{i != s_t} }
-//   decision      : { x_{i,t+1} }            (clean path)
-//                   { x_{i,t+1}, x_{i,t} }   (FD degraded path: delta sum)
+//   decision      : { x_{i,t+1} }            (MW)
+//                   { x_{i,t+1}, x_{i,t} }   (FD: the straggler derives
+//                                             the holders' mass, never a
+//                                             single holder's share)
 //   assignment    : { x_{s_t,t+1} }
 //   cost_and_step : { l_{i,t}, alpha-bar_{i,t} }
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -57,10 +61,10 @@ struct protocol_options {
   std::uint32_t trace_lane = 0;
 
   /// Deterministic fault schedule (net/fault_plan.h). Default-constructed
-  /// (disabled) keeps the engine on the exact pre-fault wire path —
-  /// bit-identical allocations and traces, zero extra work per round.
-  /// With any fault configured, messages travel through the reliable
-  /// delivery layer and rounds may complete in degraded mode.
+  /// (disabled), messages travel the raw network and every one of them
+  /// must arrive: a round that degrades is an invariant_error. With any
+  /// fault configured, messages travel through the reliable delivery
+  /// layer and rounds may complete in degraded mode.
   net::fault_plan faults;
   /// Retransmissions allowed per message before the receiver declares it
   /// lost and the round degrades (see net/reliable.h).
@@ -71,7 +75,7 @@ struct protocol_options {
 /// partition to uniform. Shared by all four engine constructors.
 void normalize_options(protocol_options& options, std::size_t n_workers);
 
-/// Cumulative fault/degradation accounting, exposed by all four engines
+/// Cumulative fault/degradation accounting, exposed by every engine
 /// (sync and async, both realizations). Mirrored into
 /// `protocol_options::metrics` (when attached) as the counters
 /// dist.degraded_rounds, dist.straggler_failovers, net.retransmits and
@@ -112,6 +116,49 @@ inline net::message make_round_info(net::node_id master, net::node_id to,
 inline round_info decode_round_info(const net::message& m) {
   return {m.payload[0], m.payload[1], m.payload[2] != 0.0};
 }
+
+/// What the first stage of a split round (`stage_gather` in mw_round.h /
+/// fd_round.h) learned: how many workers took part, the max cost among
+/// them (the group's l_t contribution, bit-equal to the elected
+/// straggler's cost) and the group's step contribution
+/// (MW: the master's alpha after retirement caps; FD: the min local
+/// bound over H_t).
+struct stage_result {
+  std::size_t participants = 0;
+  double max_cost = 0.0;
+  double min_alpha = 1.0;
+};
+
+/// Timing model that compiles to nothing: one hook per protocol event of
+/// either round machine, all empty. The synchronous engines, the
+/// hierarchical layer and the cluster instantiate it; the asynchronous
+/// engines price the same events with the deadline models of
+/// dist/round_timing.h.
+struct null_timing {
+  void round_begin(std::span<const double>, const std::vector<std::uint8_t>&) {}
+  void on_send() {}
+  void phase1_done() {}
+  void decision_sent(core::worker_id) {}
+  void decision_delivered(core::worker_id, std::size_t) {}
+  void decision_lost(core::worker_id) {}
+  void decisions_done() {}
+  // Alg. 1 only (mw_round.h).
+  void phase1_silent(core::worker_id) {}
+  void phase1_delivered(core::worker_id, std::size_t) {}
+  void phase1_lost(core::worker_id) {}
+  void info_sent(core::worker_id) {}
+  void info_abandoned(core::worker_id) {}
+  void info_delivered(core::worker_id, std::size_t) {}
+  void straggler_ready(core::worker_id) {}
+  void info_lost(core::worker_id) {}
+  void assignment_delivered(std::size_t) {}
+  void assignment_lost() {}
+  // Alg. 2 only (fd_round.h).
+  void broadcast_sent(core::worker_id, core::worker_id) {}
+  void broadcast_delivered(core::worker_id, core::worker_id, std::size_t) {}
+  void broadcast_lost(core::worker_id, core::worker_id) {}
+  void failover() {}
+};
 
 /// Per-round value scratch shared by the engines. Held as members so the
 /// round loops reuse storage instead of allocating (the PR 3 guarantee):
@@ -203,7 +250,7 @@ struct engine_counters {
   void round_complete(double alpha_value, double straggler_id);
 };
 
-/// Shared tail of every degraded round (all four engines): degraded-round
+/// Shared tail of every degraded round (every engine): degraded-round
 /// classification (trace instant + dist.* counters), zero-step-hold
 /// accumulation, and the delta-mirror of the reliable layer's stats into
 /// the net.* counters and the cumulative fault_report. `category` is the

@@ -30,4 +30,18 @@ round_timing estimate_round_timing(std::size_t n_workers,
   return out;
 }
 
+deadline_clock::deadline_clock(const async_options& o)
+    : msg_time(o.link.message_time(o.payload_bytes)),
+      serialize(static_cast<double>(o.payload_bytes) /
+                o.link.bytes_per_second),
+      timeout(o.retransmit_timeout < 0.0 ? 4.0 * msg_time
+                                         : o.retransmit_timeout),
+      // How long a receiver waits before declaring an expected message
+      // lost.
+      patience(static_cast<double>(o.protocol.retry_budget + 1) * timeout +
+               msg_time),
+      compute_delay(o.compute_delay) {
+  DOLBIE_REQUIRE(compute_delay >= 0.0, "compute delay must be >= 0");
+}
+
 }  // namespace dolbie::dist

@@ -7,7 +7,7 @@
 // schedule), all under one deterministic fault seed, and reports the
 // cumulative-cost excess of each faulty run over its own clean (zero-drop)
 // baseline — the price of degraded rounds in regret terms. The zero-drop
-// cell runs the engines' exact clean path, so the grid doubles as a
+// cell runs the engines without a fault plan, so the grid doubles as a
 // zero-fault identity check.
 //
 // Wired into the fig3 and comm-complexity benches behind the flag family

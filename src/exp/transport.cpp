@@ -74,13 +74,10 @@ std::unique_ptr<core::online_policy> make_transport_policy(
   if (spec.kind == transport_kind::memory) {
     dist::protocol_options popts;
     popts.metrics = metrics;
-    // The cluster engines always run the degraded round machinery (a
-    // remote peer can die mid-round), so the in-memory reference used
-    // for --check-memory comparisons must run the same arithmetic:
-    // force the fault plan on with nothing scheduled. With zero faults
-    // every message is delivered, but the degraded FD straggler
-    // absorption folds per-sender deltas instead of 1 - sum(claimed) —
-    // equal in exact arithmetic, not bit-identical in floats.
+    // Force the fault plan on with nothing scheduled: every message is
+    // still delivered (the iterates equal a disabled plan's bit for bit),
+    // but the engine runs over its reliable link and keeps cumulative
+    // traffic counters, the accounting the cluster's link stats follow.
     popts.faults.force = true;
     if (spec.mode == dist::cluster_mode::master_worker) {
       return std::make_unique<dist::master_worker_policy>(n_workers, popts);

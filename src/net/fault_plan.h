@@ -57,8 +57,8 @@ struct fault_plan {
   /// used by tests that inject faults directly via network::inject_drop.
   bool force = false;
 
-  /// Whether any fault is configured. Engines stay on the exact pre-fault
-  /// wire path (bit-identical output) when this is false.
+  /// Whether any fault is configured. Engines drive their rounds over the
+  /// raw network, with no reliable layer, when this is false.
   bool enabled() const {
     return force || drop_rate > 0.0 || duplicate_rate > 0.0 ||
            reorder_rate > 0.0 || !crashes.empty();

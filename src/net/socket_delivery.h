@@ -1,5 +1,5 @@
 // Socket-backed implementation of the delivery seam (net/transport.h): the
-// third policy next to `direct_delivery` (clean simulation) and
+// third policy next to `direct_delivery` (fault-free simulation) and
 // `reliable_delivery` (faulty simulation), carrying the same protocol
 // messages over TCP so the unchanged mw_round/fd_round state machines
 // drive a real cluster.

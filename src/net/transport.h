@@ -12,7 +12,7 @@
 // Two policies implement it:
 //
 //   * `direct_delivery` — best-effort sends straight through the network;
-//     every message is required to arrive (the clean, zero-fault path).
+//     every message is required to arrive (the fault-plan-disabled path).
 //     begin_round is a no-op and every delivery "takes" one attempt.
 //   * `reliable_delivery` — net/reliable.h underneath: per-link sequence
 //     numbers, bounded retransmit under virtual-time timeouts, duplicate
@@ -33,9 +33,9 @@
 
 namespace dolbie::net {
 
-/// Best-effort delivery: the clean path's policy. Loss is a protocol bug,
-/// not an expected outcome, so there is no epoch state to purge and every
-/// released message took exactly one transmission.
+/// Best-effort delivery: the policy of a disabled fault plan. Loss is a
+/// protocol bug, not an expected outcome, so there is no epoch state to
+/// purge and every released message took exactly one transmission.
 struct direct_delivery {
   network& net;
 
@@ -62,5 +62,14 @@ struct reliable_delivery {
   }
   void retire_node(node_id id) { link.retire_node(id); }
 };
+
+/// Hand `f` the delivery policy an engine's fault plan selects: reliable
+/// when the engine engaged a reliable link (`rel` non-null), direct
+/// otherwise — the one place an engine chooses between the two.
+template <class F>
+decltype(auto) with_delivery(network& net, reliable_link* rel, F&& f) {
+  if (rel != nullptr) return f(reliable_delivery{*rel});
+  return f(direct_delivery{net});
+}
 
 }  // namespace dolbie::net

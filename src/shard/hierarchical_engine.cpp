@@ -115,91 +115,44 @@ struct hierarchical_engine::shard_rt {
 namespace {
 
 // The stage-split round machines, instantiated per shard exactly as the
-// flat engines instantiate them — the delivery policy is the only degree
-// of freedom (direct for a fault-free shard, reliable otherwise), plus
-// the shard's persistent batch evaluator so Eq. 4 runs on the SoA path.
-template <class Delivery>
-dist::mw_stage_result mw_upload(hierarchical_engine::shard_rt& sh,
-                                Delivery wire, std::uint64_t round,
-                                obs::tracer* tr, std::uint32_t lane,
-                                obs::counter* failover,
-                                dist::fault_report& report,
-                                std::size_t cap_workers,
-                                dist::degraded_outcome& out) {
-  dist::mw_null_timing timing;
-  dist::mw_degraded_round<Delivery, dist::mw_null_timing> flow{
-      sh.m,    static_cast<net::node_id>(sh.m),
-      sh.costs, sh.locals,
-      sh.faults, wire,
-      timing,  tr,
-      lane,    failover,
-      report,  sh.x,
-      sh.alpha_view, sh.scratch,
-      sh.flags, sh.mass,
-      cap_workers, &sh.batch};
-  return flow.stage_upload(round, out);
-}
-
-template <class Delivery>
-void mw_commit(hierarchical_engine::shard_rt& sh, Delivery wire,
-               std::uint64_t round, double l_t, obs::tracer* tr,
-               std::uint32_t lane, obs::counter* failover,
-               dist::fault_report& report, std::size_t cap_workers,
-               dist::degraded_outcome& out) {
-  dist::mw_null_timing timing;
-  dist::mw_degraded_round<Delivery, dist::mw_null_timing> flow{
-      sh.m,    static_cast<net::node_id>(sh.m),
-      sh.costs, sh.locals,
-      sh.faults, wire,
-      timing,  tr,
-      lane,    failover,
-      report,  sh.x,
-      sh.alpha_view, sh.scratch,
-      sh.flags, sh.mass,
-      cap_workers, &sh.batch};
-  flow.stage_commit(round, l_t, out);
-}
-
-template <class Delivery>
-dist::fd_stage_result fd_broadcast(hierarchical_engine::shard_rt& sh,
-                                   Delivery wire, std::uint64_t round,
-                                   obs::tracer* tr, std::uint32_t lane,
-                                   obs::counter* failover,
-                                   dist::fault_report& report,
-                                   std::size_t cap_workers,
-                                   dist::degraded_outcome& out) {
-  dist::fd_null_timing timing;
-  dist::fd_degraded_round<Delivery, dist::fd_null_timing> flow{
-      sh.m,    sh.costs,
-      sh.locals, sh.faults,
-      wire,    timing,
-      tr,      lane,
-      failover, report,
-      sh.x,    sh.alpha_bar,
-      sh.scratch, sh.flags,
-      sh.mass, cap_workers,
-      &sh.batch};
-  return flow.stage_broadcast(round, out);
-}
-
-template <class Delivery>
-void fd_commit(hierarchical_engine::shard_rt& sh, Delivery wire,
-               std::uint64_t round, double l_t, double alpha_t,
-               obs::tracer* tr, std::uint32_t lane, obs::counter* failover,
-               dist::fault_report& report, std::size_t cap_workers,
-               dist::degraded_outcome& out) {
-  dist::fd_null_timing timing;
-  dist::fd_degraded_round<Delivery, dist::fd_null_timing> flow{
-      sh.m,    sh.costs,
-      sh.locals, sh.faults,
-      wire,    timing,
-      tr,      lane,
-      failover, report,
-      sh.x,    sh.alpha_bar,
-      sh.scratch, sh.flags,
-      sh.mass, cap_workers,
-      &sh.batch};
-  flow.stage_commit(round, l_t, alpha_t, out);
+// flat engine shell instantiates them, plus the shard's persistent batch
+// evaluator so Eq. 4 runs on the SoA path. The one dispatch of the shard
+// layer: `f` receives the shard's MW or FD machine (per `mw`) over the
+// delivery its fault plan selects — reliable when faulty, else direct.
+template <class F>
+void with_round(hierarchical_engine::shard_rt& sh, bool mw, obs::tracer* tr,
+                obs::counter* failover, std::size_t cap_workers, F&& f) {
+  dist::null_timing timing;
+  const std::uint32_t lane = sh.lane;
+  dist::fault_report& report = sh.rep;
+  net::with_delivery(sh.net, sh.rel.get(), [&](auto wire) {
+    using Delivery = decltype(wire);
+    if (mw) {
+      dist::mw_degraded_round<Delivery, dist::null_timing> flow{
+          sh.m,    static_cast<net::node_id>(sh.m),
+          sh.costs, sh.locals,
+          sh.faults, wire,
+          timing,  tr,
+          lane,    failover,
+          report,  sh.x,
+          sh.alpha_view, sh.scratch,
+          sh.flags, sh.mass,
+          cap_workers, &sh.batch};
+      f(flow);
+    } else {
+      dist::fd_degraded_round<Delivery, dist::null_timing> flow{
+          sh.m,    sh.costs,
+          sh.locals, sh.faults,
+          wire,    timing,
+          tr,      lane,
+          failover, report,
+          sh.x,    sh.alpha_bar,
+          sh.scratch, sh.flags,
+          sh.mass, cap_workers,
+          &sh.batch};
+      f(flow);
+    }
+  });
 }
 
 }  // namespace
@@ -417,36 +370,15 @@ void hierarchical_engine::observe(const core::round_feedback& feedback) {
     }
     sh.batch.rebind(sh.costs);
     ran_[k] = 1;
-    if (mw) {
-      const dist::mw_stage_result up =
-          sh.faulty
-              ? mw_upload(sh, net::reliable_delivery{*sh.rel}, round, tr,
-                          sh.lane, counters_.failover, sh.rep, n_,
-                          outcomes_[k])
-              : mw_upload(sh, net::direct_delivery{sh.net}, round, tr,
-                          sh.lane, counters_.failover, sh.rep, n_,
-                          outcomes_[k]);
-      participants_[k] = up.heard;
-      if (!outcomes_[k].aborted) {
-        contribute_[k] = 1;
-        leaf_max_[k] = up.max_cost;
-        leaf_min_[k] = sh.alpha_view;  // retire caps already folded in
-      }
-    } else {
-      const dist::fd_stage_result up =
-          sh.faulty
-              ? fd_broadcast(sh, net::reliable_delivery{*sh.rel}, round, tr,
-                             sh.lane, counters_.failover, sh.rep, n_,
-                             outcomes_[k])
-              : fd_broadcast(sh, net::direct_delivery{sh.net}, round, tr,
-                             sh.lane, counters_.failover, sh.rep, n_,
-                             outcomes_[k]);
-      participants_[k] = up.participants;
-      if (!outcomes_[k].aborted) {
-        contribute_[k] = 1;
-        leaf_max_[k] = up.max_cost;
-        leaf_min_[k] = up.min_alpha;
-      }
+    dist::stage_result up;
+    with_round(sh, mw, tr, counters_.failover, n_, [&](auto& flow) {
+      up = flow.stage_gather(round, outcomes_[k]);
+    });
+    participants_[k] = up.participants;
+    if (!outcomes_[k].aborted) {
+      contribute_[k] = 1;
+      leaf_max_[k] = up.max_cost;
+      leaf_min_[k] = up.min_alpha;
     }
   });
 
@@ -468,34 +400,17 @@ void hierarchical_engine::observe(const core::round_feedback& feedback) {
   over_shards([&](std::size_t k) {
     shard_rt& sh = *shards_[k];
     if (ran_[k] == 0 || contribute_[k] == 0 || reached_[k] == 0) return;
-    if (mw) {
-      sh.alpha_view = up.min_value;  // adopt the broadcast consensus step
-      if (sh.faulty) {
-        mw_commit(sh, net::reliable_delivery{*sh.rel}, round, up.max_value,
-                  tr, sh.lane, counters_.failover, sh.rep, n_, outcomes_[k]);
-      } else {
-        mw_commit(sh, net::direct_delivery{sh.net}, round, up.max_value, tr,
-                  sh.lane, counters_.failover, sh.rep, n_, outcomes_[k]);
-      }
-    } else {
-      if (sh.faulty) {
-        fd_commit(sh, net::reliable_delivery{*sh.rel}, round, up.max_value,
-                  up.min_value, tr, sh.lane, counters_.failover, sh.rep, n_,
-                  outcomes_[k]);
-      } else {
-        fd_commit(sh, net::direct_delivery{sh.net}, round, up.max_value,
-                  up.min_value, tr, sh.lane, counters_.failover, sh.rep, n_,
-                  outcomes_[k]);
-      }
-      if (!outcomes_[k].aborted) {
-        sh.x.swap(sh.scratch.next_x);
-        // Same zero-share corner as the MW candidate: a clamped absorber
-        // tightens its local bound to an exact zero, which would freeze
-        // the whole tree's consensus permanently. Restore the round's
-        // consensus step — renormalization already absorbed the overrun.
-        for (double& bound : sh.alpha_bar) {
-          if (bound <= 0.0) bound = up.min_value;
-        }
+    with_round(sh, mw, tr, counters_.failover, n_, [&](auto& flow) {
+      flow.stage_commit(round, up.max_value, up.min_value, outcomes_[k]);
+    });
+    if (!mw && !outcomes_[k].aborted) {
+      sh.x.swap(sh.scratch.next_x);
+      // Same zero-share corner as the MW candidate: a clamped absorber
+      // tightens its local bound to an exact zero, which would freeze the
+      // whole tree's consensus permanently. Restore the round's consensus
+      // step — renormalization already absorbed the overrun.
+      for (double& bound : sh.alpha_bar) {
+        if (bound <= 0.0) bound = up.min_value;
       }
     }
   });

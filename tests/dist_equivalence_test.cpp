@@ -17,34 +17,45 @@
 namespace dolbie::dist {
 namespace {
 
-using param = std::tuple<std::size_t, exp::synthetic_family, std::uint64_t>;
+/// (N, family, seed, initial step); a negative step selects the paper's
+/// safe initialization, 0.5 runs alpha ahead of the Eq. 7 cap so the
+/// straggler's remainder goes negative and must be renormalized exactly
+/// as the sequential reference does.
+using param =
+    std::tuple<std::size_t, exp::synthetic_family, std::uint64_t, double>;
 
 std::string param_name(const ::testing::TestParamInfo<param>& info) {
   const std::size_t n = std::get<0>(info.param);
   const exp::synthetic_family family = std::get<1>(info.param);
   const std::uint64_t seed = std::get<2>(info.param);
+  const double step = std::get<3>(info.param);
   return "N" + std::to_string(n) + "_" +
          (family == exp::synthetic_family::affine ? "affine" : "mixed") +
-         "_seed" + std::to_string(seed);
+         "_seed" + std::to_string(seed) +
+         (step < 0.0 ? "" : "_step" + std::to_string(int(step * 100)));
 }
 
 class ProtocolEquivalence : public ::testing::TestWithParam<param> {};
 
 TEST_P(ProtocolEquivalence, BitIdenticalToSequentialReference) {
-  const auto [n, family, seed] = GetParam();
+  const auto [n, family, seed, step] = GetParam();
   auto env = exp::make_synthetic_environment(n, family, seed);
-  const equivalence_report report =
-      run_equivalence(n, 60, [&] { return env->next_round(); });
+  protocol_options options;
+  options.initial_step = step;
+  const equivalence_report report = run_equivalence(
+      n, 60, [&] { return env->next_round(); }, options);
   EXPECT_EQ(report.max_divergence_master_worker, 0.0);
   EXPECT_EQ(report.max_divergence_fully_distributed, 0.0);
 }
 
 TEST_P(ProtocolEquivalence, MessageCountsMatchSectionIVC) {
-  const auto [n, family, seed] = GetParam();
+  const auto [n, family, seed, step] = GetParam();
   if (n < 2) GTEST_SKIP() << "single worker exchanges no messages";
   auto env = exp::make_synthetic_environment(n, family, seed);
-  const equivalence_report report =
-      run_equivalence(n, 10, [&] { return env->next_round(); });
+  protocol_options options;
+  options.initial_step = step;
+  const equivalence_report report = run_equivalence(
+      n, 10, [&] { return env->next_round(); }, options);
   // Master-worker: N local costs + N infos + (N-1) decisions + 1 assignment.
   EXPECT_EQ(report.master_worker_traffic.messages_sent, 3 * n);
   // Fully-distributed: N(N-1) broadcasts + (N-1) decisions to the straggler.
@@ -56,7 +67,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 7, 16, 30),
                        ::testing::Values(exp::synthetic_family::affine,
                                          exp::synthetic_family::mixed),
-                       ::testing::Values<std::uint64_t>(1, 99)),
+                       ::testing::Values<std::uint64_t>(1, 99),
+                       ::testing::Values(-1.0, 0.5)),
     param_name);
 
 TEST(MasterWorkerPolicy, CustomInitialConditionsPropagate) {

@@ -129,7 +129,7 @@ TEST(EngineAllocations, SyncFullyDistributedSteadyStateIsBounded) {
 TEST(EngineAllocations, AsyncMasterWorkerSteadyStateIsBounded) {
   const cost_stream s;
   async_master_worker clean(kWorkers);
-  expect_steady_state_bounded(per_round_allocs_async(clean, s), 40);
+  expect_steady_state_bounded(per_round_allocs_async(clean, s), 36);
   async_options o;
   o.protocol = lossy_plan();
   async_master_worker faulty(kWorkers, o);
@@ -139,7 +139,7 @@ TEST(EngineAllocations, AsyncMasterWorkerSteadyStateIsBounded) {
 TEST(EngineAllocations, AsyncFullyDistributedSteadyStateIsBounded) {
   const cost_stream s;
   async_fully_distributed clean(kWorkers);
-  expect_steady_state_bounded(per_round_allocs_async(clean, s), 165);
+  expect_steady_state_bounded(per_round_allocs_async(clean, s), 96);
   async_options o;
   o.protocol = lossy_plan();
   async_fully_distributed faulty(kWorkers, o);

@@ -173,6 +173,22 @@ TEST(ProtocolFaults, FullyDistributedRejectsMalformedFeedback) {
   EXPECT_THROW(p.observe(fb), invariant_error);
 }
 
+// Without a fault plan the engines run over the raw network, where every
+// message must arrive: a lost one is a bug, never a degraded round.
+TEST(ProtocolFaults, LossWithoutAFaultPlanIsAnInvariantError) {
+  const cost::cost_vector costs = three_affine();
+  const cost::cost_view view = cost::view_of(costs);
+  master_worker_policy mw(3);
+  mw.transport().inject_drop(0, 3);  // worker 0's cost upload
+  const auto mw_locals = cost::evaluate(view, mw.current());
+  EXPECT_THROW(mw.observe({&view, mw_locals}), invariant_error);
+
+  fully_distributed_policy fd(3);
+  fd.transport().inject_drop(1, 2);  // one broadcast leg
+  const auto fd_locals = cost::evaluate(view, fd.current());
+  EXPECT_THROW(fd.observe({&view, fd_locals}), invariant_error);
+}
+
 TEST(ProtocolFaults, StateUnchangedAfterRejectedRound) {
   master_worker_policy p(3);
   const core::allocation before = p.current();

@@ -152,9 +152,8 @@ TEST(HierarchicalEngine, SingleShardFdMachinePathIsBitIdenticalToFlat) {
 }
 
 TEST(HierarchicalEngine, SingleShardFdCleanTracksFlatClean) {
-  // Clean flat FD computes the straggler remainder as 1 - sum(claimed);
-  // the machine absorbs the delta-sum. Algebraically identical, FP-wise
-  // only near-identical — so this one is a tolerance check by design.
+  // Flat FD without a fault plan and the single shard play the same
+  // round machine with the same absorption arithmetic, bit for bit.
   constexpr std::size_t kN = 8;
   shard::hierarchical_engine hier(
       kN, hier_options({}, shard::shard_protocol::fully_distributed, kN));
@@ -179,7 +178,7 @@ TEST(HierarchicalEngine, SingleShardFdCleanTracksFlatClean) {
     hier.observe(fa);
     flat.observe(fb);
     for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_NEAR(hier.current()[i], flat.current()[i], 1e-9)
+      ASSERT_EQ(hier.current()[i], flat.current()[i])
           << "round " << t << " worker " << i;
     }
   }
