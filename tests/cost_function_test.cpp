@@ -3,6 +3,10 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -194,11 +198,44 @@ TEST(DefaultInverse, BoundaryLevels) {
 //   (c) inverse_max is non-decreasing in l,
 //   (d) round trip: inverse_max(value(x)) >= x.
 
-using cost_factory = std::function<std::unique_ptr<const cost_function>(rng&)>;
-
+// The parameter holds no pointer: gtest prints a parameter that has no
+// operator<< as its raw bytes, and gtest_discover_tests puts that print into
+// every ctest name, so a pointer member (a string literal, a std::function)
+// made the names change with the load address of each run. The label is
+// stored inline and make() builds the family it names.
 struct family_case {
-  const char* label;
-  cost_factory make;
+  char label[40];
+
+  std::unique_ptr<const cost_function> make(rng& g) const {
+    const std::string_view family(label);
+    if (family == "affine") {
+      return std::make_unique<affine_cost>(g.uniform(0.0, 10.0),
+                                           g.uniform(0.0, 2.0));
+    }
+    if (family == "power") {
+      return std::make_unique<power_cost>(
+          g.uniform(0.1, 10.0), g.uniform(0.3, 3.0), g.uniform(0.0, 2.0));
+    }
+    if (family == "exponential") {
+      return std::make_unique<exponential_cost>(
+          g.uniform(0.1, 5.0), g.uniform(0.5, 4.0), g.uniform(0.0, 2.0));
+    }
+    if (family == "saturating") {
+      return std::make_unique<saturating_cost>(
+          g.uniform(0.1, 5.0), g.uniform(0.05, 1.0), g.uniform(0.0, 2.0));
+    }
+    if (family == "piecewise") {
+      const double y0 = g.uniform(0.0, 1.0);
+      const double y1 = y0 + g.uniform(0.0, 2.0);
+      const double y2 = y1 + g.uniform(0.0, 2.0);
+      const double y3 = y2 + g.uniform(0.0, 2.0);
+      const double xm1 = g.uniform(0.1, 0.45);
+      const double xm2 = g.uniform(0.55, 0.9);
+      return std::make_unique<piecewise_linear_cost>(
+          std::vector<knot>{{0.0, y0}, {xm1, y1}, {xm2, y2}, {1.0, y3}});
+    }
+    throw std::logic_error("unknown cost family: " + std::string(family));
+  }
 };
 
 class CostInverseProperty : public ::testing::TestWithParam<family_case> {};
@@ -254,46 +291,11 @@ TEST_P(CostInverseProperty, RoundTripNeverShrinks) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, CostInverseProperty,
-    ::testing::Values(
-        family_case{"affine",
-                    [](rng& g) -> std::unique_ptr<const cost_function> {
-                      return std::make_unique<affine_cost>(
-                          g.uniform(0.0, 10.0), g.uniform(0.0, 2.0));
-                    }},
-        family_case{"power",
-                    [](rng& g) -> std::unique_ptr<const cost_function> {
-                      return std::make_unique<power_cost>(
-                          g.uniform(0.1, 10.0), g.uniform(0.3, 3.0),
-                          g.uniform(0.0, 2.0));
-                    }},
-        family_case{"exponential",
-                    [](rng& g) -> std::unique_ptr<const cost_function> {
-                      return std::make_unique<exponential_cost>(
-                          g.uniform(0.1, 5.0), g.uniform(0.5, 4.0),
-                          g.uniform(0.0, 2.0));
-                    }},
-        family_case{"saturating",
-                    [](rng& g) -> std::unique_ptr<const cost_function> {
-                      return std::make_unique<saturating_cost>(
-                          g.uniform(0.1, 5.0), g.uniform(0.05, 1.0),
-                          g.uniform(0.0, 2.0));
-                    }},
-        family_case{"piecewise",
-                    [](rng& g) -> std::unique_ptr<const cost_function> {
-                      const double y0 = g.uniform(0.0, 1.0);
-                      const double y1 = y0 + g.uniform(0.0, 2.0);
-                      const double y2 = y1 + g.uniform(0.0, 2.0);
-                      const double y3 = y2 + g.uniform(0.0, 2.0);
-                      const double xm1 = g.uniform(0.1, 0.45);
-                      const double xm2 = g.uniform(0.55, 0.9);
-                      return std::make_unique<piecewise_linear_cost>(
-                          std::vector<knot>{{0.0, y0},
-                                            {xm1, y1},
-                                            {xm2, y2},
-                                            {1.0, y3}});
-                    }}),
+    ::testing::Values(family_case{"affine"}, family_case{"power"},
+                      family_case{"exponential"}, family_case{"saturating"},
+                      family_case{"piecewise"}),
     [](const ::testing::TestParamInfo<family_case>& info) {
-      return info.param.label;
+      return std::string(info.param.label);
     });
 
 // -------------------------------------------------------------- utilities --
