@@ -1,14 +1,16 @@
 // A point-to-point FIFO channel. Channels are the only way nodes exchange
 // state in src/dist/, which keeps the protocol implementations honest about
 // what information each node actually has. Traffic accounting lives in the
-// owning network's obs::metrics_registry (per-peer counters), not here.
+// owning network's dense per-peer counters, not here.
 //
 // Storage is a vector with a consumed-prefix index rather than a deque: a
 // libstdc++ deque preallocates a ~half-KiB block per instance, which at the
 // hierarchical layer's scale (hundreds of thousands of channels across the
 // shard networks) would dwarf the protocol state itself. An empty channel
 // here owns no heap at all, and the steady-state push/pop cycle reuses one
-// allocation.
+// allocation. Messages carry their payload inline (net/message.h), so once
+// a channel's buffer has reached its working size, push and pop allocate
+// nothing.
 #pragma once
 
 #include <optional>

@@ -112,7 +112,6 @@ message decode(const std::vector<std::uint8_t>& bytes) {
   m.to = get_u32(&bytes[8]);
   m.seq = get_u32(&bytes[12]);
   m.ack = get_u32(&bytes[16]);
-  m.payload.reserve(count);
   for (std::uint16_t i = 0; i < count; ++i) {
     const double v = get_f64(&bytes[kHeaderBytes + 8 * i]);
     DOLBIE_REQUIRE(std::isfinite(v),

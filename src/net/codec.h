@@ -2,7 +2,7 @@
 //
 // The simulated network moves `message` structs directly; this codec pins
 // down what those messages would look like on a real wire, so the byte
-// accounting in the network's metrics registry is backed by an actual
+// accounting in the network's traffic counters is backed by an actual
 // serialization and a deployment could swap the in-memory transport for
 // sockets without touching the protocol state machines.
 //
@@ -20,11 +20,12 @@
 // exactly to this header; `encoded_size` reports the exact total.
 //
 // decode() treats the wire as hostile: truncated or oversized buffers,
-// unknown kinds or flag bits, payload counts beyond kMaxPayloadScalars and
-// non-finite scalars all throw invariant_error instead of handing garbage
-// to a protocol state machine. The protocols only ever exchange finite
-// quantities (costs, step sizes, simplex coordinates), so a NaN or
-// infinity on the wire is unambiguously corruption.
+// unknown kinds or flag bits, payload counts beyond kMaxPayloadScalars (the
+// inline payload's capacity) and non-finite scalars all throw
+// invariant_error instead of handing garbage to a protocol state machine.
+// The protocols only ever exchange finite quantities (costs, step sizes,
+// simplex coordinates), so a NaN or infinity on the wire is unambiguously
+// corruption.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +37,11 @@
 
 namespace dolbie::net {
 
-/// Largest payload the wire format accepts. Protocol messages carry at
-/// most 3 scalars; the cap leaves generous headroom while bounding what a
-/// corrupted count field can make a receiver allocate.
-constexpr std::size_t kMaxPayloadScalars = 1024;
+/// Largest payload the wire format accepts: the message's inline payload
+/// capacity (3 scalars, the widest protocol message). decode() rejects a
+/// larger count before it touches the payload, so a corrupted count field
+/// can neither drive an allocation nor overflow the inline storage.
+constexpr std::size_t kMaxPayloadScalars = inline_payload::kCapacity;
 
 /// Exact encoded size of a message in bytes.
 std::size_t encoded_size(const message& m);

@@ -12,18 +12,23 @@ namespace dolbie::net {
 
 network::network(std::size_t n_nodes)
     : n_(n_nodes),
-      dense_(true),
+      topology_(topology::dense),
       links_(n_nodes * n_nodes),
-      pending_drops_(n_nodes * n_nodes, 0) {
+      pending_drops_(n_nodes * n_nodes, 0),
+      peer_messages_(n_nodes, 0),
+      peer_bytes_(n_nodes, 0) {
   DOLBIE_REQUIRE(n_nodes >= 1, "network needs at least one node");
-  init_metrics();
 }
 
-network::network(std::size_t n_nodes, node_id hub) : n_(n_nodes) {
+network::network(std::size_t n_nodes, node_id hub)
+    : n_(n_nodes),
+      topology_(topology::star),
+      hub_(hub),
+      peer_messages_(n_nodes, 0),
+      peer_bytes_(n_nodes, 0) {
   DOLBIE_REQUIRE(n_nodes >= 1, "network needs at least one node");
   DOLBIE_REQUIRE(hub < n_nodes, "star hub " << hub << " out of range for "
                                             << n_nodes << " nodes");
-  dense_ = false;
   edges_.reserve(n_nodes >= 1 ? 2 * (n_nodes - 1) : 0);
   for (node_id i = 0; i < n_; ++i) {
     if (i == hub) continue;
@@ -31,12 +36,15 @@ network::network(std::size_t n_nodes, node_id hub) : n_(n_nodes) {
     edges_.emplace_back(hub, i);
   }
   index_edges();
-  init_metrics();
 }
 
 network::network(std::size_t n_nodes,
                  std::vector<std::pair<node_id, node_id>> edges)
-    : n_(n_nodes), dense_(false), edges_(std::move(edges)) {
+    : n_(n_nodes),
+      topology_(topology::sparse),
+      edges_(std::move(edges)),
+      peer_messages_(n_nodes, 0),
+      peer_bytes_(n_nodes, 0) {
   DOLBIE_REQUIRE(n_nodes >= 1, "network needs at least one node");
   for (const auto& [from, to] : edges_) {
     DOLBIE_REQUIRE(from < n_ && to < n_, "edge (" << from << " -> " << to
@@ -45,7 +53,6 @@ network::network(std::size_t n_nodes,
     DOLBIE_REQUIRE(from != to, "self-edge at node " << from);
   }
   index_edges();
-  init_metrics();
 }
 
 void network::index_edges() {
@@ -64,20 +71,34 @@ void network::index_edges() {
   // pending_for promise.
 }
 
-void network::init_metrics() {
-  total_messages_ = &metrics_.counter_named("net.messages_sent");
-  total_bytes_ = &metrics_.counter_named("net.bytes_sent");
-  peer_messages_.reserve(n_);
-  peer_bytes_.reserve(n_);
+const obs::metrics_registry& network::metrics() const {
+  const auto publish = [this](const std::string& name, std::uint64_t v) {
+    obs::counter& c = export_.counter_named(name);
+    c.reset();
+    c.add(v);
+  };
+  const traffic_totals t = total_traffic();
+  publish("net.messages_sent", t.messages_sent);
+  publish("net.bytes_sent", t.bytes_sent);
   for (node_id i = 0; i < n_; ++i) {
     const std::string peer = "net.peer" + std::to_string(i);
-    peer_messages_.push_back(&metrics_.counter_named(peer + ".messages_sent"));
-    peer_bytes_.push_back(&metrics_.counter_named(peer + ".bytes_sent"));
+    publish(peer + ".messages_sent", peer_messages_[i]);
+    publish(peer + ".bytes_sent", peer_bytes_[i]);
   }
+  return export_;
 }
 
 std::size_t network::link_index(node_id from, node_id to) const {
-  if (dense_) return from * n_ + to;
+  if (topology_ == topology::dense) return from * n_ + to;
+  if (topology_ == topology::star) {
+    // Position in the sorted star edge list (see edges_).
+    const bool up = to == hub_ && from != hub_ && from < n_;
+    const bool down = from == hub_ && to != hub_ && to < n_;
+    DOLBIE_REQUIRE(up || down, "link (" << from << " -> " << to
+                                        << ") does not exist in this topology");
+    if (up) return from < hub_ ? from : from + n_ - 2;
+    return hub_ + (to < hub_ ? to : to - 1);
+  }
   const auto key = std::make_pair(from, to);
   const auto it = std::lower_bound(edges_.begin(), edges_.end(), key);
   DOLBIE_REQUIRE(it != edges_.end() && *it == key,
@@ -87,7 +108,7 @@ std::size_t network::link_index(node_id from, node_id to) const {
 }
 
 std::pair<node_id, node_id> network::link_endpoints(std::size_t index) const {
-  if (dense_) return {index / n_, index % n_};
+  if (topology_ == topology::dense) return {index / n_, index % n_};
   return edges_[index];
 }
 
@@ -100,10 +121,8 @@ const channel& network::link(node_id from, node_id to) const {
 }
 
 void network::account_sent(const message& m) {
-  total_messages_->add(1);
-  total_bytes_->add(m.wire_size_bytes());
-  peer_messages_[m.from]->add(1);
-  peer_bytes_[m.from]->add(m.wire_size_bytes());
+  ++peer_messages_[m.from];
+  peer_bytes_[m.from] += m.wire_size_bytes();
 }
 
 void network::send(message m) {
@@ -178,7 +197,7 @@ std::optional<message> network::receive(node_id to, node_id from) {
 
 std::optional<message> network::receive_any(node_id to) {
   DOLBIE_REQUIRE(to < n_, "receive endpoint out of range");
-  if (dense_) {
+  if (topology_ == topology::dense) {
     for (node_id from = 0; from < n_; ++from) {
       if (auto m = links_[from * n_ + to].pop()) return m;
     }
@@ -193,7 +212,7 @@ std::optional<message> network::receive_any(node_id to) {
 std::size_t network::pending_for(node_id to) const {
   DOLBIE_REQUIRE(to < n_, "receive endpoint out of range");
   std::size_t total = 0;
-  if (dense_) {
+  if (topology_ == topology::dense) {
     for (node_id from = 0; from < n_; ++from) {
       total += links_[from * n_ + to].pending();
     }
@@ -207,17 +226,17 @@ std::size_t network::pending_for(node_id to) const {
 
 std::uint64_t network::peer_messages_sent(node_id id) const {
   DOLBIE_REQUIRE(id < n_, "peer id out of range");
-  return static_cast<std::uint64_t>(peer_messages_[id]->value());
+  return peer_messages_[id];
 }
 
 std::uint64_t network::peer_bytes_sent(node_id id) const {
   DOLBIE_REQUIRE(id < n_, "peer id out of range");
-  return static_cast<std::uint64_t>(peer_bytes_[id]->value());
+  return peer_bytes_[id];
 }
 
 void network::retire_node(node_id id) {
   DOLBIE_REQUIRE(id < n_, "retired node out of range");
-  if (dense_) {
+  if (topology_ == topology::dense) {
     for (node_id peer = 0; peer < n_; ++peer) {
       if (peer == id) continue;
       links_[id * n_ + peer].release();
@@ -231,8 +250,12 @@ void network::retire_node(node_id id) {
 }
 
 traffic_totals network::total_traffic() const {
-  return {static_cast<std::size_t>(total_messages_->value()),
-          static_cast<std::size_t>(total_bytes_->value())};
+  traffic_totals t;
+  for (node_id i = 0; i < n_; ++i) {
+    t.messages_sent += static_cast<std::size_t>(peer_messages_[i]);
+    t.bytes_sent += static_cast<std::size_t>(peer_bytes_[i]);
+  }
+  return t;
 }
 
 void network::snapshot_to(snapshot_writer& w) const {
@@ -253,11 +276,12 @@ void network::snapshot_to(snapshot_writer& w) const {
   if (faults_.enabled()) {
     for (const std::uint64_t attempt : fault_attempts_) w.u64(attempt);
   }
-  w.u64(total_messages_->value());
-  w.u64(total_bytes_->value());
+  const traffic_totals t = total_traffic();
+  w.u64(t.messages_sent);
+  w.u64(t.bytes_sent);
   for (node_id i = 0; i < n_; ++i) {
-    w.u64(peer_messages_[i]->value());
-    w.u64(peer_bytes_[i]->value());
+    w.u64(peer_messages_[i]);
+    w.u64(peer_bytes_[i]);
   }
 }
 
@@ -294,17 +318,25 @@ void network::restore_from(snapshot_reader& r) {
                    "fault attempt cursors not sized for this topology");
     for (std::uint64_t& attempt : fault_attempts_) attempt = r.u64();
   }
-  metrics_.reset();
-  total_messages_->add(r.u64());
-  total_bytes_->add(r.u64());
+  const std::uint64_t total_messages = r.u64();
+  const std::uint64_t total_bytes = r.u64();
   for (node_id i = 0; i < n_; ++i) {
-    peer_messages_[i]->add(r.u64());
-    peer_bytes_[i]->add(r.u64());
+    peer_messages_[i] = r.u64();
+    peer_bytes_[i] = r.u64();
   }
+  // Totals are the per-peer sums; a snapshot that disagrees is corrupt.
+  const traffic_totals t = total_traffic();
+  DOLBIE_REQUIRE(t.messages_sent == total_messages &&
+                     t.bytes_sent == total_bytes,
+                 "network snapshot totals (" << total_messages << " messages, "
+                                             << total_bytes
+                                             << " bytes) disagree with its "
+                                                "per-peer counters");
 }
 
 void network::reset_traffic() {
-  metrics_.reset();
+  std::fill(peer_messages_.begin(), peer_messages_.end(), 0);
+  std::fill(peer_bytes_.begin(), peer_bytes_.end(), 0);
   // Keep the fault counters in lockstep with the totals they qualify: a
   // stale `dropped_` against freshly zeroed send counters would claim more
   // drops than messages. (Scheduled pending_drops_ and the fault plan are

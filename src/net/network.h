@@ -16,12 +16,23 @@
 // layout, so a protocol that only ever uses the links a sparser topology
 // keeps produces bit-identical transcripts on either topology.
 //
-// Observability: every send bumps total and per-sender ("per-peer")
-// message/byte counters in an obs::metrics_registry owned by the network
-// (names: net.messages_sent, net.bytes_sent, net.peer<i>.messages_sent,
-// net.peer<i>.bytes_sent). An optionally attached obs::tracer receives a
-// "message_dropped" instant event whenever fault injection swallows a
-// message.
+// No send or receive allocates once the channel buffers are warm: the
+// payload is inline (net/message.h). Dense and star links are found by
+// arithmetic, so a message costs O(1) there; a sparse link costs a binary
+// search over the edge list.
+//
+// Observability: every send bumps the sender's ("per-peer") message/byte
+// counters, two plain integers in dense per-node arrays. Totals are their
+// sums. metrics() exports them by name on demand (net.messages_sent,
+// net.bytes_sent, net.peer<i>.messages_sent, net.peer<i>.bytes_sent), so
+// constructing a network registers nothing. An optionally attached
+// obs::tracer receives a "message_dropped" instant event whenever fault
+// injection swallows a message.
+//
+// Concurrency: sends from different threads are safe when they use
+// distinct links and distinct senders and no fault plan or scheduled drop
+// is active (the reduction tree's per-parent relay jobs); everything else
+// is single-threaded.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +54,7 @@ class tracer;
 
 namespace dolbie::net {
 
-/// Aggregate traffic totals, read from the network's metrics registry.
+/// Aggregate traffic totals: the sums of the per-peer counters.
 struct traffic_totals {
   std::size_t messages_sent = 0;
   std::size_t bytes_sent = 0;
@@ -79,15 +90,15 @@ class network {
   /// Count of messages currently pending for `to`.
   std::size_t pending_for(node_id to) const;
 
-  /// Aggregate traffic since construction or the last reset.
+  /// Aggregate traffic since construction or the last reset (O(nodes)).
   traffic_totals total_traffic() const;
 
   /// Cumulative messages / bytes sent by one node (per-peer counters).
   std::uint64_t peer_messages_sent(node_id id) const;
   std::uint64_t peer_bytes_sent(node_id id) const;
 
-  /// Zero every traffic-derived figure together: the metrics registry
-  /// (totals and per-peer counters) *and* the fault counters (`dropped_`,
+  /// Zero every traffic-derived figure together: the per-peer counters
+  /// (and so the totals) *and* the fault counters (`dropped_`,
   /// `duplicated_`) they are read against — resetting one but not the
   /// other leaves ratios like dropped/sent meaningless. Scheduled faults
   /// (inject_drop budgets, the attached fault plan and its per-link
@@ -107,6 +118,7 @@ class network {
   /// Storage index of the (from, to) link; requires the link to exist.
   /// Layered transports (net/reliable.h) index their per-link state with
   /// this so their storage matches the topology instead of assuming n^2.
+  /// O(1) on dense and star topologies, O(log links) on sparse ones.
   std::size_t link_index(node_id from, node_id to) const;
 
   /// Endpoints of the link at a storage index (inverse of link_index).
@@ -114,8 +126,10 @@ class network {
   /// iterating link storage must skip those.
   std::pair<node_id, node_id> link_endpoints(std::size_t index) const;
 
-  /// The backing registry (total + per-peer counters), for snapshots.
-  const obs::metrics_registry& metrics() const { return metrics_; }
+  /// The traffic counters as a named registry (total + per-peer counters),
+  /// for metric snapshots. Filled from the dense counters on each call;
+  /// the reference stays valid for the network's lifetime.
+  const obs::metrics_registry& metrics() const;
 
   /// Attach a tracer: drop events are recorded on `lane`, stamped with the
   /// round set by set_round(). Pass nullptr to detach.
@@ -157,17 +171,21 @@ class network {
   void restore_from(snapshot_reader& r);
 
  private:
-  void init_metrics();
   void index_edges();
   channel& link(node_id from, node_id to);
   const channel& link(node_id from, node_id to) const;
   void account_sent(const message& m);
   void trace_drop(const message& m);
 
+  enum class topology : std::uint8_t { dense, star, sparse };
+
   std::size_t n_;
-  bool dense_ = true;
+  topology topology_ = topology::dense;
+  node_id hub_ = 0;  // star only
   /// Sparse/star: directed edges sorted by (from, to); the link at
-  /// edges_[i] is stored in links_[i]. Empty in dense mode.
+  /// edges_[i] is stored in links_[i]. Empty in dense mode. A star's
+  /// sorted order is [(i, hub) for i < hub], [(hub, j) for j != hub],
+  /// [(i, hub) for i > hub], which link_index computes arithmetically.
   std::vector<std::pair<node_id, node_id>> edges_;
   /// Sparse/star: per-receiver incoming links as (from, storage index),
   /// sorted by `from` so receive_any keeps its id-order determinism.
@@ -180,11 +198,9 @@ class network {
   fault_plan faults_;
   std::vector<std::uint64_t> fault_attempts_;  // same indexing as links_
 
-  obs::metrics_registry metrics_;
-  obs::counter* total_messages_ = nullptr;
-  obs::counter* total_bytes_ = nullptr;
-  std::vector<obs::counter*> peer_messages_;  // indexed by sender id
-  std::vector<obs::counter*> peer_bytes_;
+  std::vector<std::uint64_t> peer_messages_;  // indexed by sender id
+  std::vector<std::uint64_t> peer_bytes_;
+  mutable obs::metrics_registry export_;  // filled by metrics()
   obs::tracer* tracer_ = nullptr;
   std::uint32_t trace_lane_ = 0;
   std::uint64_t trace_round_ = 0;

@@ -49,30 +49,35 @@ void histogram::reset() {
 
 counter& metrics_registry::counter_named(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (named_counter& c : counters_) {
-    if (c.name == name) return c.value;
+  if (const auto it = counter_index_.find(name); it != counter_index_.end()) {
+    return *it->second;
   }
-  counters_.emplace_back(std::string(name));
-  return counters_.back().value;
+  named_counter& c = counters_.emplace_back(std::string(name));
+  counter_index_.emplace(c.name, &c.value);
+  return c.value;
 }
 
 gauge& metrics_registry::gauge_named(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (named_gauge& g : gauges_) {
-    if (g.name == name) return g.value;
+  if (const auto it = gauge_index_.find(name); it != gauge_index_.end()) {
+    return *it->second;
   }
-  gauges_.emplace_back(std::string(name));
-  return gauges_.back().value;
+  named_gauge& g = gauges_.emplace_back(std::string(name));
+  gauge_index_.emplace(g.name, &g.value);
+  return g.value;
 }
 
 histogram& metrics_registry::histogram_named(std::string_view name,
                                              std::vector<double> upper_bounds) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (named_histogram& h : histograms_) {
-    if (h.name == name) return h.value;
+  if (const auto it = histogram_index_.find(name);
+      it != histogram_index_.end()) {
+    return *it->second;
   }
-  histograms_.emplace_back(std::string(name), std::move(upper_bounds));
-  return histograms_.back().value;
+  named_histogram& h =
+      histograms_.emplace_back(std::string(name), std::move(upper_bounds));
+  histogram_index_.emplace(h.name, &h.value);
+  return h.value;
 }
 
 std::vector<metric_row> metrics_registry::snapshot() const {

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace dolbie::obs {
@@ -97,7 +98,8 @@ struct metric_sample {
 /// Thread-safe find-or-create registry of named instruments. References
 /// returned by the *_named getters are stable for the registry's lifetime
 /// (deque storage, entries are never erased) — cache them at setup time and
-/// record through the cached reference on the hot path.
+/// record through the cached reference on the hot path. Name lookup is a
+/// hash-map probe, so registering k instruments costs O(k), not O(k^2).
 class metrics_registry {
  public:
   metrics_registry() = default;
@@ -145,6 +147,11 @@ class metrics_registry {
   std::deque<named_counter> counters_;
   std::deque<named_gauge> gauges_;
   std::deque<named_histogram> histograms_;
+  // Name -> instrument, one index per kind. Keys view the names stored in
+  // the deques above, which never move or change once registered.
+  std::unordered_map<std::string_view, counter*> counter_index_;
+  std::unordered_map<std::string_view, gauge*> gauge_index_;
+  std::unordered_map<std::string_view, histogram*> histogram_index_;
 };
 
 /// Default bucket bounds for round-latency histograms (seconds, the range

@@ -58,22 +58,24 @@ TEST(Codec, EncodedSizeMatches) {
 TEST(Codec, EncodedSizeAgreesWithTrafficAccounting) {
   // The network's byte metrics (message::wire_size_bytes) must equal the
   // actual wire format's size — the accounting is backed by real bytes.
-  for (std::size_t scalars : {0u, 1u, 2u, 3u, 10u}) {
-    message m{0, 1, message_kind::decision,
-              std::vector<double>(scalars, 1.0)};
+  for (std::size_t scalars = 0; scalars <= kMaxPayloadScalars; ++scalars) {
+    message m{0, 1, message_kind::decision, {}};
+    for (std::size_t i = 0; i < scalars; ++i) m.payload.push_back(1.0);
     EXPECT_EQ(m.wire_size_bytes(), encoded_size(m)) << scalars;
   }
 }
 
 TEST(Codec, PreservesSpecialFiniteDoubles) {
   message m{0, 1, message_kind::local_cost,
-            {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
-             std::numeric_limits<double>::max()}};
+            {0.0, -0.0, std::numeric_limits<double>::denorm_min()}};
   const message back = decode(encode(m));
   EXPECT_EQ(back.payload[0], 0.0);
   EXPECT_TRUE(std::signbit(back.payload[1]));
   EXPECT_EQ(back.payload[2], std::numeric_limits<double>::denorm_min());
-  EXPECT_EQ(back.payload[3], std::numeric_limits<double>::max());
+  message big{0, 1, message_kind::local_cost,
+              {std::numeric_limits<double>::max()}};
+  EXPECT_EQ(decode(encode(big)).payload[0],
+            std::numeric_limits<double>::max());
 }
 
 TEST(Codec, EncodeRejectsNonFiniteScalars) {
@@ -88,9 +90,47 @@ TEST(Codec, EncodeRejectsNonFiniteScalars) {
 }
 
 TEST(Codec, EncodeRejectsOversizedPayload) {
-  message m{0, 1, message_kind::local_cost,
-            std::vector<double>(kMaxPayloadScalars + 1, 1.0)};
-  EXPECT_THROW(encode(m), invariant_error);
+  // The inline payload is the wire cap: a message wider than the format
+  // allows cannot even be built, by push_back or by brace-init.
+  static_assert(kMaxPayloadScalars == inline_payload::kCapacity);
+  message m{0, 1, message_kind::local_cost, {1.0, 2.0, 3.0}};
+  EXPECT_THROW(m.payload.push_back(4.0), invariant_error);
+  EXPECT_EQ(m.payload.size(), kMaxPayloadScalars);
+  EXPECT_THROW((message{0, 1, message_kind::local_cost, {1.0, 2.0, 3.0, 4.0}}),
+               invariant_error);
+}
+
+TEST(Codec, RoundTripsEveryPayloadCount) {
+  for (std::size_t count = 0; count <= kMaxPayloadScalars; ++count) {
+    message m{5, 9, message_kind::round_info, {}};
+    for (std::size_t i = 0; i < count; ++i) {
+      m.payload.push_back(0.5 + static_cast<double>(i));
+    }
+    const auto bytes = encode(m);
+    EXPECT_EQ(bytes.size(), 20u + 8u * count) << count;
+    const message back = decode(bytes);
+    EXPECT_EQ(back.payload, m.payload) << count;
+    EXPECT_EQ(encode(back), bytes) << count;
+  }
+}
+
+TEST(Codec, RejectsCountsPastInlineCapacity) {
+  // A count past the inline capacity is rejected even when the buffer
+  // carries exactly that many well-formed scalars: the count alone decides,
+  // before any scalar is read into the payload.
+  for (const std::uint16_t count : {std::uint16_t{4}, std::uint16_t{1024},
+                                    std::uint16_t{65535}}) {
+    message m{0, 1, message_kind::local_cost, {1.0, 2.0, 3.0}};
+    auto bytes = encode(m);
+    bytes[2] = static_cast<std::uint8_t>(count & 0xff);
+    bytes[3] = static_cast<std::uint8_t>(count >> 8);
+    const std::vector<std::uint8_t> scalar(bytes.end() - 8, bytes.end());
+    for (std::size_t i = kMaxPayloadScalars; i < count; ++i) {
+      bytes.insert(bytes.end(), scalar.begin(), scalar.end());
+    }
+    ASSERT_EQ(bytes.size(), 20u + 8u * count);
+    EXPECT_THROW(decode(bytes), invariant_error) << count;
+  }
 }
 
 TEST(Codec, EncodeRejectsUnknownFlags) {
@@ -187,7 +227,8 @@ TEST(Codec, FuzzRoundTripRandomMessages) {
     m.ack = static_cast<std::uint32_t>(gen.uniform_int(0, 1 << 30));
     m.flags = gen.uniform_int(0, 1) != 0 ? message::kFlagRetransmit
                                          : std::uint8_t{0};
-    const auto count = gen.uniform_int(0, 16);
+    const auto count =
+        gen.uniform_int(0, static_cast<int>(kMaxPayloadScalars));
     for (int i = 0; i < count; ++i) {
       m.payload.push_back(gen.uniform(-1e6, 1e6));
     }

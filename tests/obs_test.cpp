@@ -4,6 +4,7 @@
 // Chrome-trace and JSONL exporters.
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +82,30 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableReferences) {
   EXPECT_EQ(&h, &m.histogram_named("x.hist", {9.0}));
   EXPECT_EQ(h.bounds().size(), 2u);
   EXPECT_FALSE(m.empty());
+}
+
+TEST(MetricsRegistry, IndexedLookupFindsEveryRegistrant) {
+  // Thousands of registrants, each looked up again through a name built in
+  // a fresh temporary: the index must hand back the first registration's
+  // instrument, never a new one, and keep the three kinds apart.
+  metrics_registry m;
+  constexpr int kNames = 2000;
+  std::vector<counter*> counters;
+  std::vector<gauge*> gauges;
+  for (int i = 0; i < kNames; ++i) {
+    counters.push_back(&m.counter_named("peer" + std::to_string(i)));
+    gauges.push_back(&m.gauge_named("peer" + std::to_string(i)));
+  }
+  histogram& h = m.histogram_named("peer0", {1.0});
+  for (int i = kNames - 1; i >= 0; --i) {
+    const std::string name = "peer" + std::to_string(i);
+    EXPECT_EQ(&m.counter_named(name), counters[i]) << name;
+    EXPECT_EQ(&m.gauge_named(name), gauges[i]) << name;
+  }
+  EXPECT_EQ(&m.histogram_named("peer0"), &h);
+  m.counter_named("peer7").add(3);
+  EXPECT_EQ(counters[7]->value(), 3u);
+  EXPECT_EQ(m.snapshot().size(), 2u * kNames + 1u);
 }
 
 TEST(MetricsRegistry, SnapshotSortedAndFormatted) {
