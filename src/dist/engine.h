@@ -1,17 +1,25 @@
-// The one engine shell of the flat DOLBIE realizations.
+// The one engine shell of the flat DOLBIE realizations, in two parts.
 //
-// `engine<Realization, Timing>` owns everything a flat engine keeps
-// across rounds — the network and, under a fault plan, the reliable link
-// over it; the allocation and the realization's step state; membership
-// flags, round scratch, the fault report and the metrics bindings — and
-// plays each round through the realization's round machine
-// (dist/mw_round.h or dist/fd_round.h):
+// `round_core<Realization>` is the transport-independent part: the
+// allocation and the realization's step state, the round index,
+// membership flags, round scratch, the fault report and the metrics
+// bindings — and the one `play` that runs a round through the
+// realization's round machine (dist/mw_round.h or dist/fd_round.h) over
+// whatever delivery its owner hands it, then runs the shared round tail
+// (degraded-round accounting, simplex check, round-span args).
+//
+// `engine<Realization, Timing>` is the in-memory wire around a core: the
+// network and, under a fault plan, the reliable link over it, traffic
+// accounting, snapshot and restore:
 //
 //   * disabled fault plan: the machine runs over `net::direct_delivery`,
 //     every message must arrive (a degraded round is an invariant_error),
 //     and the network's traffic counters restart every round;
-//   * enabled fault plan: the machine runs over `net::reliable_delivery`,
-//     rounds may degrade, and the counters are cumulative.
+//   * enabled fault plan: the machine runs over the `net::reliable_link`
+//     itself, rounds may degrade, and the counters are cumulative.
+//
+// The TCP cluster (dist/cluster.h) is the core's other owner: it plays
+// the same rounds over a `net::socket_link`.
 //
 // `Timing` is the machines' timing model: `null_timing` for the
 // phase-synchronous engines (master_worker.h, fully_distributed.h), a
@@ -22,18 +30,25 @@
 // engines produce bit-identical iterates under any fault plan.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "common/error.h"
+#include "common/simplex.h"
 #include "core/policy.h"
+#include "core/step_size.h"
 #include "core/types.h"
 #include "cost/cost_function.h"
+#include "dist/fd_round.h"
+#include "dist/mw_round.h"
 #include "dist/protocol.h"
 #include "net/network.h"
 #include "net/reliable.h"
+#include "obs/trace.h"
 
 namespace dolbie::dist {
 
@@ -55,14 +70,158 @@ struct fd_realization {
 };
 
 template <class Realization, class Timing>
+class engine;
+
+template <class Realization>
+class round_core {
+ public:
+  /// Validates `options` (normalize_options) and binds the metrics:
+  /// `prefix`, `alpha_gauge` and `fault_counters` as engine_counters::bind
+  /// takes them.
+  round_core(std::size_t n_workers, protocol_options options,
+             std::string_view prefix, std::string_view alpha_gauge,
+             bool fault_counters)
+      : n_(n_workers), options_(std::move(options)) {
+    normalize_options(options_, n_);
+    flags_.setup(n_, /*all_pairs=*/!Realization::hub);
+    scratch_.tentative.assign(n_, 0.0);
+    counters_.bind(options_.metrics, prefix, alpha_gauge, fault_counters);
+    reset();
+  }
+
+  std::size_t workers() const { return n_; }
+  const protocol_options& options() const { return options_; }
+  const core::allocation& allocation() const { return x_; }
+  const Realization& realization() const { return r_; }
+  const fault_report& faults() const { return report_; }
+
+  /// Back to x_1 and alpha_1 at round 0, with nothing degraded.
+  void reset() {
+    x_ = options_.initial_partition;
+    const double alpha1 = options_.initial_step >= 0.0
+                              ? options_.initial_step
+                              : core::initial_step_size(x_);
+    if constexpr (Realization::hub) {
+      r_.alpha = alpha1;
+    } else {
+      r_.alpha_bar.assign(n_, alpha1);
+    }
+    round_ = 0;
+    std::fill(flags_.removed.begin(), flags_.removed.end(), 0);
+    report_ = {};
+    mirrored_ = {};
+  }
+
+  /// One round against the revealed costs and the local costs l_{i,t}
+  /// played at allocation(); returns what the round resolved to.
+  ///
+  /// `deliver(round, machine)` hands `machine` the owner's delivery (a
+  /// `Wire&` with the net/transport.h surface) and returns its outcome.
+  /// `stats` is the transport's retransmit record a degraded round
+  /// mirrors; null means every message must arrive, and a degraded round
+  /// is an invariant_error. `annotate(span)` appends the owner's own
+  /// round-span args.
+  template <class Timing, class Deliver, class Annotate>
+  degraded_outcome play(const cost::cost_view& costs,
+                        std::span<const double> locals, Timing& timing,
+                        const net::reliable_stats* stats, Deliver&& deliver,
+                        Annotate&& annotate) {
+    DOLBIE_REQUIRE(costs.size() == n_ && locals.size() == n_,
+                   "round size mismatch for " << n_ << " workers");
+    const std::uint64_t round = round_++;
+    if (n_ == 1) {  // a single worker carries everything, no messages
+      timing.round_begin(locals, flags_.removed);
+      return {};
+    }
+    obs::tracer* tr = options_.tracer;
+    const std::uint32_t lane = options_.trace_lane;
+    obs::span round_span(tr, lane, round, "round", Realization::category);
+
+    const degraded_outcome out =
+        deliver(round, [&]<class Wire>(Wire& wire) {
+          if constexpr (Realization::hub) {
+            mw_degraded_round<Wire, Timing> flow{n_,
+                                                 static_cast<net::node_id>(n_),
+                                                 costs,
+                                                 locals,
+                                                 options_.faults,
+                                                 wire,
+                                                 timing,
+                                                 tr,
+                                                 lane,
+                                                 counters_.failover,
+                                                 report_,
+                                                 x_,
+                                                 r_.alpha,
+                                                 scratch_,
+                                                 flags_};
+            return flow.run(round);
+          } else {
+            fd_degraded_round<Wire, Timing> flow{n_,
+                                                 costs,
+                                                 locals,
+                                                 options_.faults,
+                                                 wire,
+                                                 timing,
+                                                 tr,
+                                                 lane,
+                                                 counters_.failover,
+                                                 report_,
+                                                 x_,
+                                                 r_.alpha_bar,
+                                                 scratch_,
+                                                 flags_};
+            const degraded_outcome o = flow.run(round);
+            x_.swap(scratch_.next_x);
+            return o;
+          }
+        });
+
+    if (stats != nullptr) {
+      finish_degraded_round(out, *stats, tr, lane, Realization::category,
+                            round, counters_, report_, mirrored_);
+    } else {
+      DOLBIE_REQUIRE(out.holds == 0 && out.failovers == 0 && !out.aborted,
+                     "round " << round << " degraded without a fault plan");
+    }
+    DOLBIE_REQUIRE(on_simplex(x_),
+                   "round " << round << " left the allocation off the simplex");
+
+    double alpha = out.consensus_alpha;
+    if constexpr (Realization::hub) alpha = r_.alpha;
+    round_span.arg("straggler", static_cast<std::uint64_t>(out.straggler));
+    round_span.arg(Realization::hub ? "alpha_next" : "alpha_consensus",
+                   alpha);
+    annotate(round_span);
+    counters_.round_complete(alpha, static_cast<double>(out.straggler));
+    return out;
+  }
+
+ private:
+  template <class R, class T>
+  friend class engine;  // snapshot() / restore() interleave core and wire
+
+  std::size_t n_;
+  protocol_options options_;
+  core::allocation x_;
+  Realization r_;
+  std::uint64_t round_ = 0;
+  round_scratch scratch_;
+  member_flags flags_;
+  fault_report report_;
+  engine_counters counters_;
+  net::reliable_stats mirrored_;  // last stats already mirrored to metrics
+};
+
+template <class Realization, class Timing>
 class engine {
  public:
   engine(std::size_t n_workers, protocol_options options = {},
          const Timing& timing = Timing{});
 
-  std::size_t workers() const { return n_; }
-  const core::allocation& allocation() const { return x_; }
-  const Realization& realization() const { return r_; }
+  std::size_t workers() const { return core_.workers(); }
+  const core::allocation& allocation() const { return core_.allocation(); }
+  const Realization& realization() const { return core_.realization(); }
 
   /// One round against the revealed costs and the local costs l_{i,t}
   /// played at allocation(); returns what the round resolved to.
@@ -77,7 +236,7 @@ class engine {
   }
 
   /// Cumulative fault/degradation accounting (all zero without faults).
-  const fault_report& faults() const { return report_; }
+  const fault_report& faults() const { return core_.faults(); }
 
   /// The timing model as the last round left it.
   const Timing& timing() const { return timing_; }
@@ -99,23 +258,11 @@ class engine {
   void restore(const std::vector<std::uint8_t>& bytes);
 
  private:
-  std::size_t n_;
-  protocol_options options_;
+  round_core<Realization> core_;
   net::network net_;
-  bool faulty_ = false;
-  std::unique_ptr<net::reliable_link> rel_;  // engaged iff faulty_
+  std::unique_ptr<net::reliable_link> rel_;  // engaged iff a fault plan is
   Timing timing_;
-
-  core::allocation x_;
-  Realization r_;
-  std::uint64_t round_ = 0;
   net::traffic_totals last_traffic_;
-
-  round_scratch scratch_;
-  member_flags flags_;
-  fault_report report_;
-  engine_counters counters_;
-  net::reliable_stats mirrored_;  // last stats already mirrored to metrics
 };
 
 /// The phase-synchronous engines' harness face: an online_policy over the

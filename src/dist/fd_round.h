@@ -1,10 +1,12 @@
 // Fully-distributed (Alg. 2) round state machine of the unified protocol
 // core — the peer-to-peer sibling of dist/mw_round.h, same seams: a
-// delivery policy (net/transport.h) and a timing model. The engine shell
-// (dist/engine.h) drives it over `direct_delivery` when the fault plan is
-// disabled and over `reliable_delivery` when it is not; the synchronous
-// engine instantiates `null_timing`, the asynchronous engine a deadline
-// model (dist/round_timing.h) priced from `Delivery::last_receive_attempts()`.
+// delivery held by reference (net/transport.h) and a timing model. The
+// engine shell's round core (dist/engine.h) drives it over
+// `direct_delivery` when the fault plan is disabled, over the
+// `reliable_link` when it is not, and over the cluster's `socket_link`;
+// the synchronous engines instantiate `null_timing`, the asynchronous
+// engine a deadline model (dist/round_timing.h) priced from
+// `Delivery::last_receive_attempts()`.
 //
 // The round's participant set H_t is the set of live workers whose
 // broadcast reached every polling receiver within the retry budget;
@@ -57,7 +59,7 @@ struct fd_degraded_round {
   const cost::cost_view& costs;
   std::span<const double> locals;
   const net::fault_plan& plan;
-  Delivery wire;
+  Delivery& wire;
   Timing& timing;
   obs::tracer* tr;
   std::uint32_t lane;

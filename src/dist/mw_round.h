@@ -1,14 +1,15 @@
 // Master-worker (Alg. 1) round state machine of the unified protocol core.
 //
 // `mw_degraded_round` is the one Alg. 1 round every engine runs — written
-// once as pure transitions over a delivery policy (net/transport.h) and a
-// timing model. The engine shell (dist/engine.h) drives it over
-// `direct_delivery` when the fault plan is disabled and over
-// `reliable_delivery` (bounded retransmit, degraded completion, straggler
-// failover, churn retirement) when it is not; the synchronous engine
-// instantiates `null_timing` (every hook compiles away), the asynchronous
-// engine a deadline-arithmetic model (dist/round_timing.h) that prices
-// each delivery in virtual time from `Delivery::last_receive_attempts()`.
+// once as pure transitions over a delivery (net/transport.h) and a timing
+// model. The engine shell's round core (dist/engine.h) drives it over
+// `direct_delivery` when the fault plan is disabled, over the
+// `reliable_link` (bounded retransmit, degraded completion, straggler
+// failover, churn retirement) when it is not, and over the cluster's
+// `socket_link`; the synchronous engines instantiate `null_timing` (every
+// hook compiles away), the asynchronous engine a deadline-arithmetic
+// model (dist/round_timing.h) that prices each delivery in virtual time
+// from `Delivery::last_receive_attempts()`.
 //
 // Degraded-round semantics (reachable only under a fault plan, or over a
 // real cluster's sockets):
@@ -54,7 +55,8 @@ inline double decide_next_share(const cost::cost_function& cost, double x,
   return x + alpha * (xp - x);
 }
 
-/// One Alg. 1 round over `Delivery` (a net/transport.h policy) and
+/// One Alg. 1 round over `Delivery` (net/transport.h: direct_delivery,
+/// reliable_link or socket_link, held by reference) and
 /// `Timing` (null_timing, or the async deadline model). Thin reference
 /// aggregate: constructing one per round is allocation-free.
 ///
@@ -72,7 +74,7 @@ struct mw_degraded_round {
   const cost::cost_view& costs;
   std::span<const double> locals;
   const net::fault_plan& plan;
-  Delivery wire;
+  Delivery& wire;
   Timing& timing;
   obs::tracer* tr;
   std::uint32_t lane;

@@ -1,8 +1,8 @@
 // Shared options, payload conventions and round-state structs for the two
 // DOLBIE protocol realizations (the unified protocol core: dist/mw_round.h
 // and dist/fd_round.h hold the per-realization round state machines; the
-// engine shell of dist/engine.h, the hierarchical layer and the cluster
-// instantiate them).
+// round core of dist/engine.h, which every flat engine holds, and the
+// hierarchical layer instantiate them).
 //
 // Payload layouts (scalars, in order):
 //   local_cost    : { l_{i,t} }
@@ -254,7 +254,8 @@ struct engine_counters {
 /// classification (trace instant + dist.* counters), zero-step-hold
 /// accumulation, and the delta-mirror of the reliable layer's stats into
 /// the net.* counters and the cumulative fault_report. `category` is the
-/// realization's trace category ("mw"/"fd").
+/// trace category: the realization's ("mw"/"fd"), or "shard" for the
+/// hierarchical engine's aggregated round.
 void finish_degraded_round(const degraded_outcome& outcome,
                            const net::reliable_stats& stats,
                            obs::tracer* tracer, std::uint32_t lane,

@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/error.h"
 #include "common/snapshot.h"
@@ -69,23 +68,6 @@ void network::index_edges() {
   // edges_ is sorted by (from, to), so each receiver's incoming list is
   // already in ascending sender order — the scan order receive_any and
   // pending_for promise.
-}
-
-const obs::metrics_registry& network::metrics() const {
-  const auto publish = [this](const std::string& name, std::uint64_t v) {
-    obs::counter& c = export_.counter_named(name);
-    c.reset();
-    c.add(v);
-  };
-  const traffic_totals t = total_traffic();
-  publish("net.messages_sent", t.messages_sent);
-  publish("net.bytes_sent", t.bytes_sent);
-  for (node_id i = 0; i < n_; ++i) {
-    const std::string peer = "net.peer" + std::to_string(i);
-    publish(peer + ".messages_sent", peer_messages_[i]);
-    publish(peer + ".bytes_sent", peer_bytes_[i]);
-  }
-  return export_;
 }
 
 std::size_t network::link_index(node_id from, node_id to) const {

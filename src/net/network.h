@@ -22,10 +22,9 @@
 // search over the edge list.
 //
 // Observability: every send bumps the sender's ("per-peer") message/byte
-// counters, two plain integers in dense per-node arrays. Totals are their
-// sums. metrics() exports them by name on demand (net.messages_sent,
-// net.bytes_sent, net.peer<i>.messages_sent, net.peer<i>.bytes_sent), so
-// constructing a network registers nothing. An optionally attached
+// counters, two plain integers in dense per-node arrays read through
+// peer_messages_sent / peer_bytes_sent; total_traffic() is their sums.
+// Constructing a network registers nothing. An optionally attached
 // obs::tracer receives a "message_dropped" instant event whenever fault
 // injection swallows a message.
 //
@@ -41,7 +40,6 @@
 
 #include "net/channel.h"
 #include "net/fault_plan.h"
-#include "obs/metrics.h"
 
 namespace dolbie {
 class snapshot_reader;
@@ -126,11 +124,6 @@ class network {
   /// iterating link storage must skip those.
   std::pair<node_id, node_id> link_endpoints(std::size_t index) const;
 
-  /// The traffic counters as a named registry (total + per-peer counters),
-  /// for metric snapshots. Filled from the dense counters on each call;
-  /// the reference stays valid for the network's lifetime.
-  const obs::metrics_registry& metrics() const;
-
   /// Attach a tracer: drop events are recorded on `lane`, stamped with the
   /// round set by set_round(). Pass nullptr to detach.
   void attach_tracer(obs::tracer* tracer, std::uint32_t lane);
@@ -200,7 +193,6 @@ class network {
 
   std::vector<std::uint64_t> peer_messages_;  // indexed by sender id
   std::vector<std::uint64_t> peer_bytes_;
-  mutable obs::metrics_registry export_;  // filled by metrics()
   obs::tracer* tracer_ = nullptr;
   std::uint32_t trace_lane_ = 0;
   std::uint64_t trace_round_ = 0;

@@ -1,8 +1,8 @@
-// Socket-backed implementation of the delivery seam (net/transport.h): the
-// third policy next to `direct_delivery` (fault-free simulation) and
-// `reliable_delivery` (faulty simulation), carrying the same protocol
-// messages over TCP so the unchanged mw_round/fd_round state machines
-// drive a real cluster.
+// Socket-backed implementation of the delivery seam (net/transport.h):
+// `socket_link` is the third delivery next to `direct_delivery` (fault-free
+// simulation) and `reliable_link` (faulty simulation), carrying the same
+// protocol messages over TCP so the unchanged mw_round/fd_round state
+// machines, which take the link directly, drive a real cluster.
 //
 // Topology: the driving process (the master daemon, or a test) runs the
 // protocol state machine for *every* node; remote worker daemons host the
@@ -232,22 +232,6 @@ class socket_link {
   obs::counter* frames_counter_ = nullptr;
   obs::counter* pulls_counter_ = nullptr;
   obs::counter* failures_counter_ = nullptr;
-};
-
-/// Delivery policy over a socket_link — the aggregate the round state
-/// machines instantiate, shaped exactly like direct/reliable_delivery.
-struct socket_delivery {
-  socket_link& link;
-
-  void begin_round(std::uint64_t round) { link.begin_round(round); }
-  void send(message m) { link.send(std::move(m)); }
-  std::optional<message> receive(node_id to, node_id from) {
-    return link.receive(to, from);
-  }
-  std::size_t last_receive_attempts() const {
-    return link.last_receive_attempts();
-  }
-  void retire_node(node_id id) { link.retire_node(id); }
 };
 
 }  // namespace dolbie::net

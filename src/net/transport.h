@@ -1,7 +1,8 @@
-// Delivery-policy seam of the unified protocol core (dist/mw_round.h,
+// Delivery seam of the unified protocol core (dist/mw_round.h,
 // dist/fd_round.h).
 //
-// The round state machines are written against a minimal delivery concept:
+// The round state machines are written against a minimal delivery concept
+// and hold a reference to whatever implements it:
 //
 //   void begin_round(std::uint64_t round);
 //   void send(message m);
@@ -9,20 +10,20 @@
 //   std::size_t last_receive_attempts() const;
 //   void retire_node(node_id id);   // reclaim a retired node's link state
 //
-// Two policies implement it:
+// Three types implement it, and the machines take each one directly:
 //
 //   * `direct_delivery` — best-effort sends straight through the network;
 //     every message is required to arrive (the fault-plan-disabled path).
-//     begin_round is a no-op and every delivery "takes" one attempt.
-//   * `reliable_delivery` — net/reliable.h underneath: per-link sequence
-//     numbers, bounded retransmit under virtual-time timeouts, duplicate
-//     and reorder absorption. last_receive_attempts() reports how many
+//     begin_round is a no-op and every delivery "takes" one attempt. It is
+//     the one adapter, because `network` itself has no epochs and no
+//     attempt count.
+//   * `reliable_link` (net/reliable.h) — per-link sequence numbers,
+//     bounded retransmit under virtual-time timeouts, duplicate and
+//     reorder absorption. last_receive_attempts() reports how many
 //     transmissions the released message took (0 when the retry budget
 //     expired), which is what the asynchronous timing models consume.
-//
-// Both are thin aggregates over references — constructing one per round is
-// free and allocation-less, so the shared round flows stay on the PR 3
-// zero-allocation hot path.
+//   * `socket_link` (net/socket_delivery.h) — the same semantics over TCP
+//     to remote channel hosts (the cluster of dist/cluster.h).
 #pragma once
 
 #include <cstdint>
@@ -48,28 +49,15 @@ struct direct_delivery {
   void retire_node(node_id id) { net.retire_node(id); }
 };
 
-/// Reliable delivery: the degraded-mode policy (net/reliable.h semantics).
-struct reliable_delivery {
-  reliable_link& link;
-
-  void begin_round(std::uint64_t round) { link.begin_round(round); }
-  void send(message m) { link.send(std::move(m)); }
-  std::optional<message> receive(node_id to, node_id from) {
-    return link.receive(to, from);
-  }
-  std::size_t last_receive_attempts() const {
-    return link.last_receive_attempts();
-  }
-  void retire_node(node_id id) { link.retire_node(id); }
-};
-
-/// Hand `f` the delivery policy an engine's fault plan selects: reliable
-/// when the engine engaged a reliable link (`rel` non-null), direct
-/// otherwise — the one place an engine chooses between the two.
+/// Hand `f` the delivery an engine's fault plan selects: the reliable
+/// link when the engine engaged one (`rel` non-null), direct delivery
+/// over the raw network otherwise — the one place an engine chooses
+/// between the two. `f` receives an lvalue reference.
 template <class F>
 decltype(auto) with_delivery(network& net, reliable_link* rel, F&& f) {
-  if (rel != nullptr) return f(reliable_delivery{*rel});
-  return f(direct_delivery{net});
+  if (rel != nullptr) return f(*rel);
+  direct_delivery direct{net};
+  return f(direct);
 }
 
 }  // namespace dolbie::net

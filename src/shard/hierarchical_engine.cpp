@@ -125,10 +125,9 @@ void with_round(hierarchical_engine::shard_rt& sh, bool mw, obs::tracer* tr,
   dist::null_timing timing;
   const std::uint32_t lane = sh.lane;
   dist::fault_report& report = sh.rep;
-  net::with_delivery(sh.net, sh.rel.get(), [&](auto wire) {
-    using Delivery = decltype(wire);
+  net::with_delivery(sh.net, sh.rel.get(), [&]<class Wire>(Wire& wire) {
     if (mw) {
-      dist::mw_degraded_round<Delivery, dist::null_timing> flow{
+      dist::mw_degraded_round<Wire, dist::null_timing> flow{
           sh.m,    static_cast<net::node_id>(sh.m),
           sh.costs, sh.locals,
           sh.faults, wire,
@@ -140,7 +139,7 @@ void with_round(hierarchical_engine::shard_rt& sh, bool mw, obs::tracer* tr,
           cap_workers, &sh.batch};
       f(flow);
     } else {
-      dist::fd_degraded_round<Delivery, dist::null_timing> flow{
+      dist::fd_degraded_round<Wire, dist::null_timing> flow{
           sh.m,    sh.costs,
           sh.locals, sh.faults,
           wire,    timing,
@@ -495,33 +494,16 @@ void hierarchical_engine::observe(const core::round_feedback& feedback) {
     alpha_ = up.min_value;  // display: the round's consensus step
   }
 
-  // --- Accounting: the shared degraded-round semantics, aggregated over
-  //     every shard (mirrors finish_degraded_round). ---
-  const bool global_abort = !any_committed;
-  if (global_abort) ++report_.aborted_rounds;
-  const bool degraded = total_holds > 0 || total_failovers > 0 ||
-                        global_abort;
-  if (degraded) {
-    ++report_.degraded_rounds;
-    if (counters_.degraded != nullptr) counters_.degraded->add(1);
-    if (tr != nullptr) {
-      tr->instant(lane, round, "degraded_round", "shard",
-                  {obs::arg_int("holds", total_holds),
-                   obs::arg_int("aborted", global_abort ? 1 : 0)});
-    }
-  }
-  report_.zero_step_holds += total_holds;
-  // The round machines counted removals/failovers into their shard's own
-  // report (thread-confined); the public totals are the order-free sums of
-  // those cumulative per-shard counters.
+  // --- Accounting: the shared degraded-round tail over every shard's
+  //     totals. The round machines counted removals/failovers into their
+  //     shard's own report (thread-confined); the public totals are the
+  //     order-free sums of those cumulative per-shard counters. ---
   report_.removed_workers = 0;
   report_.straggler_failovers = 0;
+  net::reliable_stats agg;
   for (const auto& shp : shards_) {
     report_.removed_workers += shp->rep.removed_workers;
     report_.straggler_failovers += shp->rep.straggler_failovers;
-  }
-  net::reliable_stats agg;
-  for (const auto& shp : shards_) {
     if (shp->rel == nullptr) continue;
     const net::reliable_stats& s = shp->rel->stats();
     agg.retransmits += s.retransmits;
@@ -530,14 +512,9 @@ void hierarchical_engine::observe(const core::round_feedback& feedback) {
     agg.duplicates_discarded += s.duplicates_discarded;
     agg.stale_purged += s.stale_purged;
   }
-  if (counters_.retransmits != nullptr) {
-    counters_.retransmits->add(agg.retransmits - mirrored_.retransmits);
-    counters_.timeouts->add(agg.timeouts - mirrored_.timeouts);
-  }
-  mirrored_ = agg;
-  report_.retransmits = agg.retransmits;
-  report_.timeouts = agg.timeouts;
-  report_.duplicates_discarded = agg.duplicates_discarded;
+  dist::finish_degraded_round({total_holds, total_failovers, !any_committed},
+                              agg, tr, lane, "shard", round, counters_,
+                              report_, mirrored_);
 
   assemble();
   DOLBIE_REQUIRE(on_simplex(assembled_),

@@ -62,18 +62,10 @@ TEST(Network, PerPeerCountersAccumulateAndReset) {
   network net(2);
   net.send({0, 1, message_kind::local_cost, {1.0}});
   net.send({0, 1, message_kind::decision, {1.0, 2.0}});
-  const obs::metrics_registry& m = net.metrics();
-  // The registry is const through this accessor; read via the snapshot.
-  bool saw_peer0 = false;
-  for (const obs::metric_row& row : m.snapshot()) {
-    if (row.name == "net.peer0.messages_sent") {
-      saw_peer0 = true;
-      EXPECT_EQ(row.value, "2");
-    }
-    if (row.name == "net.peer1.messages_sent") EXPECT_EQ(row.value, "0");
-    if (row.name == "net.bytes_sent") EXPECT_EQ(row.value, "64");
-  }
-  EXPECT_TRUE(saw_peer0);
+  EXPECT_EQ(net.peer_messages_sent(0), 2u);
+  EXPECT_EQ(net.peer_messages_sent(1), 0u);
+  EXPECT_EQ(net.peer_bytes_sent(0), 64u);
+  EXPECT_EQ(net.total_traffic().bytes_sent, 64u);
   net.reset_traffic();
   EXPECT_EQ(net.total_traffic().messages_sent, 0u);
   EXPECT_EQ(net.total_traffic().bytes_sent, 0u);

@@ -1,6 +1,6 @@
-// Transport conformance: the three delivery policies behind the
-// net/transport.h seam — direct (clean simulation), reliable (faulty
-// simulation) and socket (real TCP, loopback here) — must expose the
+// Transport conformance: the three deliveries behind the net/transport.h
+// seam — direct_delivery (clean simulation), reliable_link (faulty
+// simulation) and socket_link (real TCP, loopback here) — must expose the
 // same observable receive/attempt behavior for the same scripted message
 // set, because the round state machines are written against the seam and
 // never against an implementation. Plus the socket-specific surfaces the
@@ -45,7 +45,7 @@ struct conformance_caps {
 /// 0, 1, 2; the script exercises FIFO order, link isolation, both
 /// directions, the begin_round epoch and retirement.
 template <typename Delivery>
-void run_conformance_script(Delivery d, const conformance_caps& caps) {
+void run_conformance_script(Delivery&& d, const conformance_caps& caps) {
   d.begin_round(1);
 
   // Per-link FIFO: two sends on 0 -> 1 come back in order.
@@ -116,13 +116,13 @@ TEST(TransportConformance, DirectDelivery) {
 TEST(TransportConformance, ReliableDelivery) {
   network net(3);
   reliable_link link(net);
-  run_conformance_script(reliable_delivery{link}, {});
+  run_conformance_script(link, {});
 }
 
 TEST(TransportConformance, SocketDeliveryAllLocal) {
   // The degenerate cluster: every link homed on the driving process.
   socket_link link(3, {-1, -1, -1}, {});
-  run_conformance_script(socket_delivery{link}, {});
+  run_conformance_script(link, {});
 }
 
 TEST(TransportConformance, SocketDeliveryLoopback) {
@@ -132,7 +132,7 @@ TEST(TransportConformance, SocketDeliveryLoopback) {
   std::thread serving([&] { server.run(); });
   {
     socket_link link(3, {0, 0, 0}, {{"127.0.0.1", server.port()}});
-    run_conformance_script(socket_delivery{link}, {});
+    run_conformance_script(link, {});
   }
   server.stop();
   serving.join();
@@ -330,6 +330,19 @@ TEST(SocketCluster, AllLocalClusterMatchesInMemoryToo) {
     for (std::size_t t = 0; t < live.allocations.size(); ++t) {
       EXPECT_EQ(live.allocations[t], expected.allocations[t]);
     }
+  }
+}
+
+TEST(SocketCluster, RejectsOffSimplexInitialPartition) {
+  // The cluster validates x_1 like the in-memory engines do: an allocation
+  // summing to 1.5 is refused at construction, never played at round 0.
+  // No peers, so no sockets are opened.
+  for (cluster_mode mode :
+       {cluster_mode::master_worker, cluster_mode::fully_distributed}) {
+    cluster_options copts;
+    copts.mode = mode;
+    copts.initial_partition = {0.5, 0.5, 0.5};
+    EXPECT_THROW(cluster_policy(3, copts), invariant_error);
   }
 }
 
